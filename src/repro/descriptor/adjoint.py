@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.descriptor.system import DescriptorSystem
 from repro.exceptions import DimensionError
-from repro.linalg.hamiltonian import is_shh_pencil, symplectic_identity
+from repro.linalg.hamiltonian import is_shh_pencil, j_times, symplectic_identity
 
 __all__ = ["adjoint_system", "PhiRealization", "build_phi_realization"]
 
@@ -82,7 +82,7 @@ class PhiRealization:
     @property
     def b_phi(self) -> np.ndarray:
         """The input matrix ``J C_phi^T`` of Eq. 10."""
-        return self.j @ self.c_phi.T
+        return j_times(self.c_phi.T)
 
     def is_shh(self, tol: Optional[Tolerances] = None) -> bool:
         """Verify the skew-Hamiltonian/Hamiltonian structure of the pencil."""

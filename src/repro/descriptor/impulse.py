@@ -16,7 +16,7 @@ implements the two most useful families:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,12 +41,16 @@ __all__ = [
 
 
 def is_impulse_free(
-    system: DescriptorSystem, tol: Optional[Tolerances] = None
+    system: DescriptorSystem,
+    tol: Optional[Tolerances] = None,
+    e_svd: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> bool:
     """SVD-coordinate test: the pair ``(E, A)`` is impulse-free iff ``A22`` is
-    absent, zero-dimensional, or nonsingular."""
+    absent, zero-dimensional, or nonsingular.
+
+    ``e_svd`` is an already computed ``np.linalg.svd(system.e)`` to reuse."""
     tol = tol or DEFAULT_TOLERANCES
-    form = svd_coordinate_form(system, tol)
+    form = svd_coordinate_form(system, tol, e_svd=e_svd)
     a22 = form.a22
     size = a22.shape[0]
     if size == 0:

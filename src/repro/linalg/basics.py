@@ -19,6 +19,7 @@ __all__ = [
     "as_square_array",
     "as_2d_array",
     "matrix_scale",
+    "schur_eigenvalues",
     "is_symmetric",
     "is_skew_symmetric",
     "is_hermitian",
@@ -55,6 +56,26 @@ def matrix_scale(matrix: np.ndarray) -> float:
     if arr.size == 0:
         return 1.0
     return max(1.0, float(np.max(np.abs(arr))))
+
+
+def schur_eigenvalues(t_form: np.ndarray) -> np.ndarray:
+    """Eigenvalues read off a (real quasi-triangular or complex) Schur form.
+
+    A real Schur form keeps each complex-conjugate pair in a 2x2 diagonal
+    block ``[[a, b], [c, d]]`` (a nonzero subdiagonal entry marks its start);
+    its eigenvalues are ``(a + d) / 2 +- sqrt(((a - d) / 2)^2 + b c)``.
+    """
+    eigenvalues = np.diag(t_form).astype(complex)
+    if np.iscomplexobj(t_form):
+        return eigenvalues
+    k = np.flatnonzero(np.diag(t_form, -1))
+    if k.size:
+        a, d = t_form[k, k], t_form[k + 1, k + 1]
+        half_gap = 0.5 * (a - d)
+        radius = np.sqrt((half_gap**2 + t_form[k, k + 1] * t_form[k + 1, k]).astype(complex))
+        eigenvalues[k] = 0.5 * (a + d) + radius
+        eigenvalues[k + 1] = 0.5 * (a + d) - radius
+    return eigenvalues
 
 
 def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:

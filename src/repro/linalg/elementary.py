@@ -1,10 +1,12 @@
 """Elementary orthogonal transformations: Householder reflectors and Givens rotations.
 
 These are the building blocks of the Paige/Van Loan (PVL) reduction of
-skew-Hamiltonian matrices (:mod:`repro.linalg.skew_hamiltonian_schur`).  They
-are written for clarity rather than ultimate BLAS efficiency, but all
-applications are performed as rank-one updates / row-pair rotations so the
-overall reduction keeps its O(n^3) complexity.
+skew-Hamiltonian matrices (:mod:`repro.linalg.skew_hamiltonian_schur`).  Every
+application is an in-place rank-one update (one matrix-vector product and one
+rank-one subtraction) or a row/column-pair rotation.  A reflector acting on a
+contiguous index window is applied through a slice view, so nothing is copied,
+and when that view is contiguous in memory the subtraction is a single BLAS
+``dger`` call.  The overall reduction keeps its O(n^3) complexity.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 __all__ = [
     "householder_vector",
@@ -55,26 +58,43 @@ def householder_vector(x: np.ndarray) -> Tuple[np.ndarray, float]:
     return v, beta
 
 
+def _subtract_outer(block: np.ndarray, x: np.ndarray, y: np.ndarray, beta: float) -> None:
+    """``block -= beta * outer(x, y)`` in place, ``y`` being the reflector vector.
+
+    A Fortran-contiguous float64 ``block`` gets one BLAS ``dger`` call, which
+    updates it in place without forming the outer product; any other block
+    goes through numpy, with ``beta`` folded into the short vector ``y``.
+    """
+    if block.dtype == np.float64 and block.flags.f_contiguous:
+        dger(-beta, x, y, a=block, overwrite_a=True)
+    else:
+        block -= np.outer(x, beta * y)
+
+
 def apply_householder_left(
-    matrix: np.ndarray, v: np.ndarray, beta: float, rows: np.ndarray
+    matrix: np.ndarray, v: np.ndarray, beta: float, rows: slice
 ) -> None:
-    """Apply ``H = I - beta v v^T`` from the left to the given rows of ``matrix`` in place."""
+    """Apply ``H = I - beta v v^T`` from the left to the row window ``matrix[rows, :]`` in place."""
+    if not isinstance(rows, slice):
+        raise TypeError("rows must be a slice: an index array would update a copy")
     if beta == 0.0:
         return
-    sub = matrix[rows, :]
-    w = beta * (v @ sub)
-    matrix[rows, :] = sub - np.outer(v, w)
+    block = matrix[rows, :]
+    # block -= beta v (v^T block), written on the transpose so that a
+    # C-contiguous row window is a Fortran-contiguous BLAS operand.
+    _subtract_outer(block.T, v @ block, v, beta)
 
 
 def apply_householder_right(
-    matrix: np.ndarray, v: np.ndarray, beta: float, cols: np.ndarray
+    matrix: np.ndarray, v: np.ndarray, beta: float, cols: slice
 ) -> None:
-    """Apply ``H = I - beta v v^T`` from the right to the given columns of ``matrix`` in place."""
+    """Apply ``H = I - beta v v^T`` from the right to the column window ``matrix[:, cols]`` in place."""
+    if not isinstance(cols, slice):
+        raise TypeError("cols must be a slice: an index array would update a copy")
     if beta == 0.0:
         return
-    sub = matrix[:, cols]
-    w = beta * (sub @ v)
-    matrix[:, cols] = sub - np.outer(w, v)
+    block = matrix[:, cols]
+    _subtract_outer(block, block @ v, v, beta)
 
 
 def givens_rotation(a: float, b: float) -> Tuple[float, float]:

@@ -29,6 +29,7 @@ from repro.linalg.basics import (
 
 __all__ = [
     "symplectic_identity",
+    "j_times",
     "check_even_dimension",
     "is_hamiltonian",
     "is_skew_hamiltonian",
@@ -54,6 +55,18 @@ def symplectic_identity(half_dim: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
+def j_times(matrix: np.ndarray) -> np.ndarray:
+    """``J @ matrix`` by a signed swap of the row halves (no matrix product).
+
+    ``J = [[0, I], [-I, 0]]`` only permutes and negates, so this equals the
+    dense product (up to the sign of zeros) at O(n^2) cost.  Use
+    ``j_times(M.T).T`` for ``M @ J^T = -(M @ J)``.
+    """
+    arr = np.asarray(matrix)
+    half = arr.shape[0] // 2
+    return np.concatenate([arr[half:], -arr[:half]])
+
+
 def check_even_dimension(matrix: np.ndarray, name: str = "matrix") -> int:
     """Validate that ``matrix`` is square with even dimension; return the half size."""
     arr = as_square_array(matrix, name)
@@ -70,8 +83,7 @@ def is_hamiltonian(matrix: np.ndarray, tol: Optional[Tolerances] = None) -> bool
     arr = as_square_array(matrix)
     if arr.shape[0] % 2 != 0:
         return False
-    j = symplectic_identity(arr.shape[0] // 2)
-    return is_symmetric(j @ arr, tol)
+    return is_symmetric(j_times(arr), tol)
 
 
 def is_skew_hamiltonian(
@@ -82,8 +94,7 @@ def is_skew_hamiltonian(
     arr = as_square_array(matrix)
     if arr.shape[0] % 2 != 0:
         return False
-    j = symplectic_identity(arr.shape[0] // 2)
-    return is_skew_symmetric(j @ arr, tol)
+    return is_skew_symmetric(j_times(arr), tol)
 
 
 def is_shh_pencil(
@@ -177,22 +188,16 @@ def hamiltonian_part(matrix: np.ndarray) -> np.ndarray:
     Every ``2n x 2n`` matrix ``M`` splits uniquely as ``M = H + W`` with ``H``
     Hamiltonian and ``W`` skew-Hamiltonian; this returns ``H``.
     """
-    n = check_even_dimension(matrix)
-    arr = np.asarray(matrix, dtype=float)
-    j = symplectic_identity(n)
-    jm = j @ arr
-    sym = 0.5 * (jm + jm.T)
-    return -j @ sym
+    check_even_dimension(matrix)
+    jm = j_times(np.asarray(matrix, dtype=float))
+    return -j_times(0.5 * (jm + jm.T))
 
 
 def skew_hamiltonian_part(matrix: np.ndarray) -> np.ndarray:
     """Skew-Hamiltonian part of a square even-dimensional matrix."""
-    n = check_even_dimension(matrix)
-    arr = np.asarray(matrix, dtype=float)
-    j = symplectic_identity(n)
-    jm = j @ arr
-    skew = 0.5 * (jm - jm.T)
-    return -j @ skew
+    check_even_dimension(matrix)
+    jm = j_times(np.asarray(matrix, dtype=float))
+    return -j_times(0.5 * (jm - jm.T))
 
 
 def eigenvalue_pairing_defect(matrix: np.ndarray) -> float:

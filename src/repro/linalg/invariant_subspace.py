@@ -17,7 +17,7 @@ import scipy.linalg
 
 from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.exceptions import ReductionError, StructureError
-from repro.linalg.basics import as_square_array, matrix_scale
+from repro.linalg.basics import as_square_array, matrix_scale, schur_eigenvalues
 from repro.linalg.hamiltonian import check_even_dimension, is_hamiltonian
 
 __all__ = [
@@ -26,6 +26,16 @@ __all__ = [
     "HamiltonianSplitting",
     "imaginary_axis_eigenvalues",
 ]
+
+
+def _ordered_real_schur(
+    arr: np.ndarray, tol: Tolerances
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Real Schur form ``(T, Z, sdim)`` with the strictly stable eigenvalues leading."""
+    threshold = -tol.eig_imag_atol * matrix_scale(arr)
+    return scipy.linalg.schur(
+        arr, output="real", sort=lambda real, imag: real < threshold
+    )
 
 
 def stable_invariant_subspace(
@@ -44,15 +54,8 @@ def stable_invariant_subspace(
     arr = as_square_array(matrix)
     if arr.shape[0] == 0:
         return np.zeros((0, 0)), np.zeros(0, dtype=complex)
-
-    def _is_stable(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-        return real < -tol.eig_imag_atol * matrix_scale(arr)
-
-    t_form, z_form, sdim = scipy.linalg.schur(arr, output="real", sort=_is_stable)
-    eigenvalues = scipy.linalg.eigvals(t_form[:sdim, :sdim]) if sdim else np.zeros(
-        0, dtype=complex
-    )
-    return z_form[:, :sdim], eigenvalues
+    t_form, z_form, sdim = _ordered_real_schur(arr, tol)
+    return z_form[:, :sdim], schur_eigenvalues(t_form[:sdim, :sdim])
 
 
 def imaginary_axis_eigenvalues(
@@ -78,8 +81,9 @@ class HamiltonianSplitting:
         Blocks of the orthonormal stable-invariant-subspace basis
         ``[X1; X2]`` (each ``n x n`` for a ``2n x 2n`` Hamiltonian matrix).
     stable_block:
-        The matrix ``Lambda`` with ``H [X1; X2] = [X1; X2] Lambda`` whose
-        spectrum is the stable half of ``spec(H)``.
+        The quasi-triangular leading block ``T11`` of the ordered real Schur
+        form, i.e. the matrix ``Lambda`` with ``H [X1; X2] = [X1; X2] Lambda``
+        whose spectrum is the stable half of ``spec(H)``.
     stable_eigenvalues:
         The stable eigenvalues themselves.
     """
@@ -119,18 +123,18 @@ def hamiltonian_stable_invariant_subspace(
             "hamiltonian_stable_invariant_subspace requires a Hamiltonian matrix"
         )
 
-    basis, eigenvalues = stable_invariant_subspace(arr, tol)
-    if basis.shape[1] != half:
+    t_form, z_form, sdim = _ordered_real_schur(arr, tol)
+    if sdim != half:
         raise ReductionError(
             "the Hamiltonian matrix does not split evenly into stable and "
-            f"anti-stable parts (stable dimension {basis.shape[1]}, expected {half}); "
+            f"anti-stable parts (stable dimension {sdim}, expected {half}); "
             "eigenvalues on the imaginary axis are present"
         )
-    # Lambda = basis^T H basis because the basis is orthonormal and invariant.
-    stable_block = basis.T @ arr @ basis
+    # H Z = Z T with T block upper triangular, so H [X1; X2] = [X1; X2] T11.
+    stable_block = t_form[:half, :half]
     return HamiltonianSplitting(
-        x1=basis[:half, :],
-        x2=basis[half:, :],
+        x1=z_form[:half, :half],
+        x2=z_form[half:, :half],
         stable_block=stable_block,
-        stable_eigenvalues=eigenvalues,
+        stable_eigenvalues=schur_eigenvalues(stable_block),
     )

@@ -33,7 +33,7 @@ from repro.linalg.hamiltonian import (
     hamiltonian_part,
     is_hamiltonian,
     is_skew_hamiltonian,
-    symplectic_identity,
+    j_times,
 )
 from repro.linalg.symplectic import (
     apply_double_householder_similarity,
@@ -78,7 +78,10 @@ def pvl_decomposition(
     if check_structure and not is_skew_hamiltonian(work, tol):
         raise StructureError("pvl_decomposition requires a skew-Hamiltonian matrix")
 
-    accumulator = np.eye(2 * half)
+    # Row windows of the C-ordered work matrix and column windows of the
+    # Fortran-ordered accumulator are contiguous: their reflector updates are
+    # in-place BLAS calls (see repro.linalg.elementary).
+    accumulator = np.eye(2 * half, order="F")
     for j in range(half - 1):
         # (a) Householder on window j+1 .. half-1 (both halves) compressing the
         #     lower-left block column j onto its first sub-diagonal entry.
@@ -188,8 +191,8 @@ def shh_pencil_to_hamiltonian(
         ]
     )
     right = accumulator @ q_tilde
-    j_matrix = symplectic_identity(half)
-    left = -j_matrix @ right.T @ j_matrix
+    # Z_L = -J Z_R^T J, with M J = -(J M^T)^T.
+    left = j_times(j_times(right.T).T).T
 
     identity_residual = left @ w_matrix @ right - np.eye(2 * half)
     residual = float(np.linalg.norm(identity_residual)) / max(1.0, float(np.linalg.norm(w_matrix)))

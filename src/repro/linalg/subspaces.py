@@ -19,6 +19,7 @@ from repro.exceptions import DimensionError
 from repro.linalg.basics import as_2d_array
 
 __all__ = [
+    "rank_from_singular_values",
     "numerical_rank",
     "column_space",
     "null_space",
@@ -56,6 +57,22 @@ def _rank_threshold(
     return max(tol.rank_rtol * largest, floor)
 
 
+def rank_from_singular_values(
+    svals: np.ndarray,
+    tol: Optional[Tolerances] = None,
+    reference_scale: Optional[float] = None,
+) -> int:
+    """Numerical rank from descending singular values (the rule used throughout).
+
+    Lets a caller that already holds an SVD make the same rank decision as
+    :func:`numerical_rank` without factoring the matrix again.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(svals > _rank_threshold(svals, tol, reference_scale)))
+
+
 def numerical_rank(
     matrix: np.ndarray,
     tol: Optional[Tolerances] = None,
@@ -71,9 +88,7 @@ def numerical_rank(
     if arr.size == 0:
         return 0
     svals = np.linalg.svd(arr, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > _rank_threshold(svals, tol, reference_scale)))
+    return rank_from_singular_values(svals, tol, reference_scale)
 
 
 def column_space(
@@ -88,10 +103,7 @@ def column_space(
         return _empty_basis(arr.shape[0], arr.dtype)
     # The range only needs the "thin" left factor.
     u, svals, _ = np.linalg.svd(arr, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return _empty_basis(arr.shape[0], u.dtype)
-    rank = int(np.count_nonzero(svals > _rank_threshold(svals, tol, reference_scale)))
-    return u[:, :rank]
+    return u[:, : rank_from_singular_values(svals, tol, reference_scale)]
 
 
 def null_space(
@@ -109,13 +121,7 @@ def null_space(
     # when the matrix has at least as many rows as columns the economy SVD
     # already provides it, which avoids forming the (possibly huge) full U.
     _, svals, vh = np.linalg.svd(arr, full_matrices=(n_rows < n_cols))
-    if svals.size == 0 or svals[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(
-            np.count_nonzero(svals > _rank_threshold(svals, tol, reference_scale))
-        )
-    return vh[rank:, :].conj().T
+    return vh[rank_from_singular_values(svals, tol, reference_scale) :, :].conj().T
 
 
 def left_null_space(

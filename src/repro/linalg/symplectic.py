@@ -132,20 +132,21 @@ def apply_double_householder_similarity(
     of both the upper and the lower half.  ``accumulator`` (if given) collects
     the product of all applied transformations (multiplied from the right),
     so that after the reduction ``accumulator^T W_original accumulator`` equals
-    the reduced matrix.
+    the reduced matrix.  Both windows are contiguous, so every update runs in
+    place on a slice view.
     """
     if beta == 0.0:
         return
     half_dim = check_even_dimension(matrix)
-    idx_upper = np.arange(start, start + v.size)
-    idx_lower = idx_upper + half_dim
-    for rows in (idx_upper, idx_lower):
+    windows = (
+        slice(start, start + v.size),
+        slice(half_dim + start, half_dim + start + v.size),
+    )
+    for rows in windows:
         apply_householder_left(matrix, v, beta, rows)
-    for cols in (idx_upper, idx_lower):
-        apply_householder_right(matrix, v, beta, cols)
-    if accumulator is not None:
-        for cols in (idx_upper, idx_lower):
-            apply_householder_right(accumulator, v, beta, cols)
+    for target in (matrix,) if accumulator is None else (matrix, accumulator):
+        for cols in windows:
+            apply_householder_right(target, v, beta, cols)
 
 
 def apply_symplectic_givens_similarity(

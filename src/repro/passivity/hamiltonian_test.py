@@ -135,7 +135,9 @@ def proper_positive_real_test(
         only meaningful for stable systems.
     """
     tol = tol or DEFAULT_TOLERANCES
-    if require_stable and not system.is_stable(tol):
+    poles = system.poles()
+    # Same rule as StateSpace.is_stable, on the one eigenvalue computation.
+    if require_stable and not np.all(poles.real < -tol.eig_imag_atol):
         raise NotStableError(
             "the Hamiltonian positive-realness test requires a stable proper part"
         )
@@ -182,9 +184,9 @@ def proper_positive_real_test(
     # Anchor the sign of the Hermitian part at a frequency away from any
     # crossing: with no genuine crossings the sign is constant over frequency.
     anchor_omega = 0.0
-    poles = np.abs(system.poles())
-    if poles.size:
-        anchor_omega = float(np.median(poles[poles > 0])) if np.any(poles > 0) else 1.0
+    moduli = np.abs(poles)
+    if moduli.size:
+        anchor_omega = float(np.median(moduli[moduli > 0])) if np.any(moduli > 0) else 1.0
     anchor_value = system.evaluate(1j * anchor_omega)
     anchor_scale = max(1.0, float(np.max(np.abs(anchor_value))))
     anchor_min_eig = float(

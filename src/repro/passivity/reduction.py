@@ -25,22 +25,23 @@ Three steps are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.descriptor.adjoint import PhiRealization
 from repro.descriptor.system import DescriptorSystem
-from repro.exceptions import ReductionError
+from repro.exceptions import ReductionError, SingularPencilError
 from repro.linalg.basics import is_skew_symmetric, is_symmetric
-from repro.linalg.hamiltonian import symplectic_identity
+from repro.linalg.hamiltonian import j_times
 from repro.linalg.subspaces import (
     column_space,
     null_space,
     numerical_rank,
     orth_complement,
-    subspace_intersection,
+    rank_from_singular_values,
 )
 
 __all__ = [
@@ -96,10 +97,7 @@ def _phi_unobservable_directions(
     """
     n = phi.order
     u_e, svals, vt_e = np.linalg.svd(phi.e_phi)
-    if svals.size == 0 or svals[0] == 0.0:
-        rank_e = 0
-    else:
-        rank_e = int(np.count_nonzero(svals > tol.rank_rtol * svals[0]))
+    rank_e = rank_from_singular_values(svals, tol)
     ker_e = vt_e[rank_e:, :].T
     if ker_e.shape[1] == 0:
         return np.zeros((n, 0))
@@ -135,7 +133,6 @@ def remove_impulsive_modes(
     tol = tol or DEFAULT_TOLERANCES
     z_ob = _phi_unobservable_directions(phi, tol)
     n = phi.order
-    j_matrix = phi.j
     descriptor = phi.to_descriptor()
 
     if z_ob.shape[1] == 0:
@@ -143,14 +140,14 @@ def remove_impulsive_modes(
         # coordinates (left projector J) expected by the next reduction step.
         z_co = np.eye(n)
     else:
-        removed_right = np.hstack([z_ob, j_matrix @ phi.a_phi @ z_ob])
+        removed_right = np.hstack([z_ob, j_times(phi.a_phi @ z_ob)])
         if numerical_rank(removed_right, tol) != removed_right.shape[1]:
             raise ReductionError(
                 "impulsive removal produced a rank-deficient removal space; the "
                 "realization violates the structural assumptions of the test"
             )
         z_co = orth_complement(column_space(removed_right, tol), n, tol)
-    left = j_matrix @ z_co
+    left = j_times(z_co)
 
     e_reduced = left.T @ phi.e_phi @ z_co
     a_reduced = left.T @ phi.a_phi @ z_co
@@ -166,7 +163,7 @@ def remove_impulsive_modes(
     e_reduced[np.abs(e_reduced) <= noise_floor] = 0.0
     reduced = DescriptorSystem(e_reduced, a_reduced, b_reduced, c_reduced, phi.d_phi)
 
-    transfer_defect = _safe_transfer_defect(descriptor, reduced, probe_point)
+    transfer_defect = _safe_transfer_defect(descriptor, reduced, probe_point, tol)
     return ImpulsiveReduction(
         system=reduced,
         n_removed=n - z_co.shape[1],
@@ -177,14 +174,43 @@ def remove_impulsive_modes(
     )
 
 
+def _probe_response(system: DescriptorSystem, s: complex, tol: Tolerances) -> np.ndarray:
+    """``G(s)`` from one LU of ``s E - A``, screened like :meth:`DescriptorSystem.evaluate`.
+
+    The smallest singular value that ``evaluate`` computes with a full SVD is
+    estimated here as ``||M||_1 * rcond`` from LAPACK ``gecon`` on the LU
+    factors, and compared against the same threshold.
+    """
+    n = system.order
+    if n == 0:
+        return system.d.astype(complex)
+    shifted = s * system.e.astype(complex) - system.a
+    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("getrf", "gecon", "getrs"), (shifted,)
+    )
+    lu, piv, _ = getrf(shifted)
+    norm_1 = float(np.abs(shifted).sum(axis=0).max())
+    rcond, _ = gecon(lu, norm_1, norm="1")
+    scale = max(1.0, float(np.abs(s)), float(np.max(np.abs(system.a), initial=1.0)))
+    if norm_1 * rcond <= 100 * tol.rank_rtol * scale * n:
+        raise SingularPencilError(
+            f"s E - A is singular at s = {s}; the point is a pole of G(s)"
+        )
+    solution, _ = getrs(lu, piv, system.b.astype(complex))
+    return system.d + system.c @ solution
+
+
 def _safe_transfer_defect(
-    original: DescriptorSystem, reduced: DescriptorSystem, probe: complex
+    original: DescriptorSystem,
+    reduced: DescriptorSystem,
+    probe: complex,
+    tol: Tolerances,
 ) -> float:
     """Relative transfer-function mismatch at a probe point (``nan`` if unevaluable)."""
     try:
-        value_original = original.evaluate(probe)
-        value_reduced = reduced.evaluate(probe)
-    except Exception:
+        value_original = _probe_response(original, probe, tol)
+        value_reduced = _probe_response(reduced, probe, tol)
+    except (SingularPencilError, np.linalg.LinAlgError):
         return float("nan")
     scale = max(1.0, float(np.max(np.abs(value_original))))
     return float(np.max(np.abs(value_original - value_reduced))) / scale
@@ -213,6 +239,7 @@ def remove_nondynamic_modes(
     system: DescriptorSystem,
     tol: Optional[Tolerances] = None,
     probe_point: complex = 0.9 + 0.7j,
+    e_svd: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> NondynamicReduction:
     """Eliminate the nondynamic modes of a skew-symmetric/symmetric pencil.
 
@@ -220,6 +247,11 @@ def remove_nondynamic_modes(
     ``U = [U1, U2]`` (``U1`` spanning ``Im E``, ``U2`` spanning ``Ker E``) into
     ``diag(E11, 0)`` with ``E11`` nonsingular; the trailing algebraic equations
     are then eliminated by the Schur complement of ``A22`` (Eq. 19).
+
+    One full SVD ``E = U S V^T`` supplies the rank, ``U1`` (leading columns of
+    ``U``) and ``U2`` (trailing rows of ``V^T``; ``Ker E = (Im E)^perp`` for a
+    skew-symmetric ``E``).  ``e_svd`` passes in that factorization when the
+    caller already holds it (the impulse-free check factors the same ``E``).
 
     Raises
     ------
@@ -229,37 +261,31 @@ def remove_nondynamic_modes(
     """
     tol = tol or DEFAULT_TOLERANCES
     n = system.order
-    rank_e = numerical_rank(system.e, tol)
-    if rank_e == n:
+    u_e, svals, vt_e = e_svd if e_svd is not None else np.linalg.svd(system.e)
+    r = rank_from_singular_values(svals, tol)
+    if r == n:
         return NondynamicReduction(system=system, n_removed=0, transfer_defect=0.0)
 
-    u1 = column_space(system.e, tol)
-    u2 = null_space(system.e, tol)
-    u_matrix = np.hstack([u1, u2])
+    u_matrix = np.hstack([u_e[:, :r], vt_e[r:, :].T])
     e_t = u_matrix.T @ system.e @ u_matrix
     a_t = u_matrix.T @ system.a @ u_matrix
     b_t = u_matrix.T @ system.b
     c_t = system.c @ u_matrix
 
-    r = u1.shape[1]
     a11, a12 = a_t[:r, :r], a_t[:r, r:]
     a21, a22 = a_t[r:, :r], a_t[r:, r:]
     b1, b2 = b_t[:r, :], b_t[r:, :]
     c1, c2 = c_t[:, :r], c_t[:, r:]
 
     size = a22.shape[0]
-    if size:
-        svals = np.linalg.svd(a22, compute_uv=False)
-        if svals[-1] <= tol.rank_rtol * max(1.0, svals[0]) * size:
-            raise ReductionError(
-                "A22 is singular while eliminating nondynamic modes: the system "
-                "still contains impulsive modes"
-            )
-        a22_inv_a21 = np.linalg.solve(a22, a21)
-        a22_inv_b2 = np.linalg.solve(a22, b2)
-    else:
-        a22_inv_a21 = np.zeros((0, r))
-        a22_inv_b2 = np.zeros((0, system.n_inputs))
+    svals_22 = np.linalg.svd(a22, compute_uv=False)
+    if svals_22[-1] <= tol.rank_rtol * max(1.0, svals_22[0]) * size:
+        raise ReductionError(
+            "A22 is singular while eliminating nondynamic modes: the system "
+            "still contains impulsive modes"
+        )
+    a22_inv_a21 = np.linalg.solve(a22, a21)
+    a22_inv_b2 = np.linalg.solve(a22, b2)
 
     e_new = e_t[:r, :r]
     a_new = a11 - a12 @ a22_inv_a21
@@ -268,7 +294,7 @@ def remove_nondynamic_modes(
     d_new = system.d - c2 @ a22_inv_b2
     reduced = DescriptorSystem(e_new, a_new, b_new, c_new, d_new)
 
-    transfer_defect = _safe_transfer_defect(system, reduced, probe_point)
+    transfer_defect = _safe_transfer_defect(system, reduced, probe_point, tol)
     return NondynamicReduction(
         system=reduced, n_removed=n - r, transfer_defect=transfer_defect
     )
@@ -318,11 +344,10 @@ def restore_shh_structure(
         raise ReductionError("expected a skew-symmetric E before SHH restoration")
     if n and not is_symmetric(system.a, tol):
         raise ReductionError("expected a symmetric A before SHH restoration")
-    j_matrix = symplectic_identity(n // 2)
     return ShhRestoration(
-        e_shh=-j_matrix @ system.e,
-        a_shh=-j_matrix @ system.a,
-        b_shh=-j_matrix @ system.b,
+        e_shh=-j_times(system.e),
+        a_shh=-j_times(system.a),
+        b_shh=-j_times(system.b),
         c_shh=system.c,
         d_shh=system.d,
     )

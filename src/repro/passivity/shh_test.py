@@ -178,11 +178,14 @@ class ShhPassivityTest:
 
         # Step 3: impulse-free check -------------------------------------------
         # Uses the SVD-coordinate rank test of Section 2.5 (A22 nonsingular),
-        # which costs one SVD instead of a full QZ of the doubled pencil.
+        # which costs one SVD instead of a full QZ of the doubled pencil.  The
+        # same SVD of E1 drives the nondynamic elimination of step 4; each
+        # step keeps its own A22 test.
         from repro.descriptor.impulse import is_impulse_free as svd_impulse_free
 
         reduced = impulsive.system
-        impulse_free = svd_impulse_free(reduced, tol)
+        e_svd = np.linalg.svd(reduced.e)
+        impulse_free = svd_impulse_free(reduced, tol, e_svd=e_svd)
         report.add_step(
             "impulse_free_check",
             "the reduced Phi realization must be impulse-free",
@@ -197,7 +200,7 @@ class ShhPassivityTest:
             return
 
         # Step 4: remove nondynamic modes --------------------------------------
-        nondynamic = remove_nondynamic_modes(reduced, tol)
+        nondynamic = remove_nondynamic_modes(reduced, tol, e_svd=e_svd)
         report.diagnostics["n_nondynamic_removed"] = nondynamic.n_removed
         counts_equal = impulsive.n_removed == nondynamic.n_removed
         report.add_step(

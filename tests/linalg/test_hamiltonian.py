@@ -11,6 +11,7 @@ from repro.linalg.hamiltonian import (
     is_hamiltonian,
     is_shh_pencil,
     is_skew_hamiltonian,
+    j_times,
     make_hamiltonian,
     make_skew_hamiltonian,
     random_hamiltonian,
@@ -42,6 +43,13 @@ class TestSymplecticIdentity:
     def test_negative_dimension_rejected(self):
         with pytest.raises(DimensionError):
             symplectic_identity(-1)
+
+    def test_j_times_equals_the_dense_products(self, rng):
+        j = symplectic_identity(3)
+        m = rng.standard_normal((6, 4))
+        np.testing.assert_array_equal(j_times(m), j @ m)
+        square = rng.standard_normal((6, 6))
+        np.testing.assert_array_equal(j_times(square.T).T, -(square @ j))
 
 
 class TestStructurePredicates:

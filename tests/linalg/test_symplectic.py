@@ -26,6 +26,7 @@ from repro.linalg.symplectic import (
     is_symplectic,
     random_orthogonal_symplectic,
     symplectic_from_givens,
+    symplectic_from_householder,
 )
 
 
@@ -48,7 +49,7 @@ class TestElementaryTransformations:
         x = rng.standard_normal(3)
         v, beta = householder_vector(x)
         h = np.eye(3) - beta * np.outer(v, v)
-        rows = np.arange(1, 4)
+        rows = slice(1, 4)
         expected = m.copy()
         expected[rows, :] = h @ expected[rows, :]
         actual = m.copy()
@@ -59,6 +60,14 @@ class TestElementaryTransformations:
         actual_cols = m.copy()
         apply_householder_right(actual_cols, v, beta, rows)
         np.testing.assert_allclose(actual_cols, expected_cols, atol=1e-12)
+
+    def test_householder_application_refuses_index_arrays(self, rng):
+        # Fancy indexing copies, so an in-place update through it would be lost.
+        m = rng.standard_normal((5, 5))
+        v, beta = householder_vector(rng.standard_normal(3))
+        for apply in (apply_householder_left, apply_householder_right):
+            with pytest.raises(TypeError):
+                apply(m, v, beta, np.arange(1, 4))
 
     def test_givens_zeroes_second_component(self):
         c, s = givens_rotation(3.0, 4.0)
@@ -128,3 +137,34 @@ class TestStructurePreservation:
         v, beta = householder_vector(rng.standard_normal(3))
         apply_double_householder_similarity(work, acc, v, beta, 1)
         np.testing.assert_allclose(acc.T @ w @ acc, work, atol=1e-12)
+
+
+class TestSimilaritiesMatchDenseReferences:
+    """The in-place slice updates equal products with the dense matrices."""
+
+    HALF = 7
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("start,size", [(0, 7), (1, 4), (3, 4), (5, 2)])
+    def test_double_householder(self, rng, order, start, size):
+        # (3, 4) and (5, 2) end at the last index of each half.
+        w = np.array(random_skew_hamiltonian(self.HALF, rng), order=order)
+        acc0 = np.array(random_orthogonal_symplectic(self.HALF, rng), order=order)
+        v, beta = householder_vector(rng.standard_normal(size))
+        assert beta != 0.0
+        p = symplectic_from_householder(self.HALF, v, beta, start)
+        work, acc = w.copy(order="K"), acc0.copy(order="K")
+        apply_double_householder_similarity(work, acc, v, beta, start)
+        np.testing.assert_allclose(work, p @ w @ p, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(acc, acc0 @ p, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_symplectic_givens(self, rng, k):
+        w = random_skew_hamiltonian(self.HALF, rng)
+        acc0 = np.asfortranarray(random_orthogonal_symplectic(self.HALF, rng))
+        c, s = givens_rotation(*rng.standard_normal(2))
+        g = symplectic_from_givens(self.HALF, c, s, k)
+        work, acc = w.copy(), acc0.copy(order="K")
+        apply_symplectic_givens_similarity(work, acc, c, s, k)
+        np.testing.assert_allclose(work, g @ w @ g.T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(acc, acc0 @ g.T, rtol=0, atol=1e-13)

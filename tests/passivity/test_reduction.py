@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.descriptor import build_phi_realization, count_modes
-from repro.exceptions import ReductionError
+from repro.config import DEFAULT_TOLERANCES
+from repro.descriptor import DescriptorSystem, build_phi_realization, count_modes
+from repro.exceptions import ReductionError, SingularPencilError
 from repro.linalg.basics import is_skew_symmetric, is_symmetric
 from repro.linalg.hamiltonian import is_hamiltonian, is_skew_hamiltonian
 from repro.passivity import (
@@ -12,6 +13,7 @@ from repro.passivity import (
     remove_nondynamic_modes,
     restore_shh_structure,
 )
+from repro.passivity.reduction import _safe_transfer_defect
 
 
 class TestImpulsiveRemoval:
@@ -35,6 +37,26 @@ class TestImpulsiveRemoval:
             reduction.system.evaluate(s0), phi.evaluate(s0), atol=1e-8
         )
         assert reduction.transfer_defect < 1e-8
+
+    def test_probe_at_a_pole_gives_nan(self, mixed_passive_system):
+        # Phi = G + G~ has poles at s = -1 and s = 1; the LU/gecon screen of
+        # the probe refuses the same point DescriptorSystem.evaluate refuses.
+        phi = build_phi_realization(mixed_passive_system)
+        with pytest.raises(SingularPencilError):
+            phi.to_descriptor().evaluate(1.0)
+        reduction = remove_impulsive_modes(phi, probe_point=1.0)
+        assert np.isnan(reduction.transfer_defect)
+
+    def test_probe_errors_other_than_singularity_propagate(self, rng):
+        # A port-count mismatch is a programming error, not an unevaluable probe.
+        two_port, three_port = (
+            DescriptorSystem(
+                np.eye(3), -np.eye(3), rng.standard_normal((3, m)), rng.standard_normal((m, 3))
+            )
+            for m in (2, 3)
+        )
+        with pytest.raises(ValueError):
+            _safe_transfer_defect(two_port, three_port, 0.5j, DEFAULT_TOLERANCES)
 
     def test_impulse_free_input_removes_nothing_but_rotates(self, small_rlc_ladder):
         phi = build_phi_realization(small_rlc_ladder)
@@ -79,6 +101,13 @@ class TestNondynamicRemoval:
         expected_removed = reduced.order - np.linalg.matrix_rank(reduced.e)
         assert result.n_removed == expected_removed
         assert np.linalg.matrix_rank(result.system.e) == result.system.order
+
+    def test_shared_svd_gives_the_same_reduction(self, small_impulsive_ladder):
+        reduced = self._reduced_phi(small_impulsive_ladder)
+        own = remove_nondynamic_modes(reduced)
+        shared = remove_nondynamic_modes(reduced, e_svd=np.linalg.svd(reduced.e))
+        assert shared.n_removed == own.n_removed > 0
+        np.testing.assert_array_equal(shared.system.a, own.system.a)
 
     def test_transfer_preserved(self, index1_passive_system):
         reduced = self._reduced_phi(index1_passive_system)
