@@ -350,7 +350,9 @@ def random_coupled_bus(
     ``extra_edge_fraction * n_nodes`` chords, all resistive; a random
     ``capacitor_fraction`` of the nodes get shunt capacitors,
     ``inductor_fraction`` of the chords become inductive links, and every node
-    keeps a small shunt conductance so the model is strictly lossy.  All
+    keeps a small shunt conductance so the model is strictly lossy.  A chord
+    that would close a loop of inductors alone (a lossless mode at s = 0)
+    stays resistive, so every finite pole lies in the open left half plane.  All
     element values are positive, so the MNA model satisfies the structural
     passivity LMI regardless of the drawn topology — which is what makes this
     generator suitable for property-based testing of the sparse backend.
@@ -371,11 +373,20 @@ def random_coupled_bus(
         netlist.add_resistor(f"rt{k}", f"n{k}", f"n{other}", value())
     n_extra = int(extra_edge_fraction * n_nodes)
     n_inductive = int(inductor_fraction * n_extra)
+    # Union-find over the inductive links, to keep them a forest.
+    inductor_root = list(range(n_nodes))
+
+    def root(node: int) -> int:
+        while inductor_root[node] != node:
+            node = inductor_root[node]
+        return node
+
     for j in range(n_extra):
         i, k = rng.integers(0, n_nodes, size=2)
         if i == k:
             continue
-        if j < n_inductive:
+        if j < n_inductive and root(int(i)) != root(int(k)):
+            inductor_root[root(int(i))] = root(int(k))
             netlist.add_inductor(f"le{j}", f"n{int(i)}", f"n{int(k)}", value(0.3, 1.0))
         else:
             netlist.add_resistor(f"re{j}", f"n{int(i)}", f"n{int(k)}", value())

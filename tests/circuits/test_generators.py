@@ -183,6 +183,18 @@ class TestRandomCoupledBus:
         )
         assert shh_passivity_test(first.system).is_passive
 
+    def test_inductive_chords_close_no_inductor_loop(self):
+        # Seed 3257 draws the same node pair for both inductive chords; two
+        # parallel inductors would form a lossless loop with a pole at s = 0.
+        from repro.passivity import shh_passivity_test
+
+        model = random_coupled_bus(
+            13, n_ports=2, inductor_fraction=0.375, seed=3257, sparse=False
+        )
+        assert len(model.inductor_index) == 1
+        assert model.system.is_stable()
+        assert shh_passivity_test(model.system).is_passive
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             random_coupled_bus(1)

@@ -14,7 +14,7 @@ Two families of invariants:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.circuits import (
     coupled_line_bus,
@@ -82,6 +82,7 @@ def test_sparse_and_dense_assembly_identical_on_grids(rows, cols, grid):
     seed=st.integers(min_value=0, max_value=10_000),
     inductive=st.floats(min_value=0.0, max_value=0.4),
 )
+@example(n_nodes=13, seed=3257, inductive=0.375)  # two parallel inductive chords
 def test_shh_sparse_accepts_random_passive_buses(n_nodes, seed, inductive):
     """Structurally passive random MNA models pass the sparse test, like shh."""
     model = random_coupled_bus(
