@@ -32,11 +32,12 @@ Backends
     ``"process"`` when a pool can be created, otherwise ``"serial"``.
 
 Timeouts are enforced while *collecting* results: a task that exceeds
-``task_timeout`` is reported as ``timed_out`` and the sweep moves on.  Queued
-cells that never started are cancelled at the end of the sweep and ``run()``
-returns without joining hung workers — but an already-running worker cannot
-be forcibly killed (the usual executor limitation) and keeps running in the
-background until it finishes.
+``task_timeout`` is reported as ``timed_out`` and the sweep moves on.  A
+sweep whose every task was collected joins its process pool before ``run()``
+returns, so no worker outlives the call.  After a timeout, queued cells that
+never started are cancelled and ``run()`` returns without joining hung
+workers — an already-running worker cannot be forcibly killed (the usual
+executor limitation) and keeps running in the background until it finishes.
 """
 
 from __future__ import annotations
@@ -299,10 +300,11 @@ def _process_batch_worker(
     hits they really are, never double-booked per job.
 
     ``ancestors`` (chunk position → ancestor hint) carries the sweep mode's
-    warm-start plan: a chain ships as one chunk in delta order, its root
+    warm-start plan: a chain (or one fanned-out piece of it, see
+    :func:`_fill_idle_workers`) ships as one chunk in delta order, its root
     runs cold into the chunk cache and every later position warm-starts
-    through the cache's ancestor registry (hint ``"auto"``), so the whole
-    chain pays one QZ no matter how many corners it holds.
+    through the cache's ancestor registry (hint ``"auto"``), so the chunk
+    pays one QZ no matter how many corners it holds.
     """
     (
         indices, fleet, methods, tol, method_options, registry,
@@ -330,6 +332,33 @@ def _process_batch_worker(
                 cells.append((method, report, seconds, error))
             batched.append((index, cells))
     return batched, cache.stats, trace.to_jsonable()
+
+
+def _fill_idle_workers(
+    chains: List[List[int]], n_other_tasks: int, n_workers: int
+) -> List[List[int]]:
+    """Split warm-start chains into pieces until every pool worker has a task.
+
+    While the chain pieces plus ``n_other_tasks`` (micro-batch chunks and
+    single cells) number fewer than ``n_workers``, the longest piece with at
+    least three members is cut into two contiguous halves of its delta walk,
+    the shorter half first.  Both halves lead with the chain's root:
+    successors warm-start from the cache's nearest ``PENCIL_SPECTRUM`` entry,
+    which only a cold factorization seeds, so a piece led by a perturbed
+    corner would see most of its successors refuse the update and fall back
+    cold.  Each extra piece pays one extra cold root on a worker that would
+    otherwise idle; the caller records only the first result of the
+    duplicated root.
+    """
+    pieces = list(chains)
+    while pieces and len(pieces) + n_other_tasks < n_workers:
+        at = max(range(len(pieces)), key=lambda i: len(pieces[i]))
+        root, successors = pieces[at][0], pieces[at][1:]
+        if len(successors) < 2:
+            break
+        half = len(successors) // 2
+        pieces[at : at + 1] = [[root] + successors[:half], [root] + successors[half:]]
+    return pieces
 
 
 class BatchRunner:
@@ -410,11 +439,16 @@ class BatchRunner:
         one cold QZ each successor is certified by the perturbation-aware
         update tier (falling back to cold, and becoming the new warm-start
         root, whenever a validity bound fails — verdicts never weaken).
-        Chains run in order: serially inline, one pool task per chain on
-        the thread backend, and one worker chunk per chain on the process
-        backend (the chunk shares one worker-local cache, so the whole
-        chain still pays a single cold factorization).  Systems without a
-        same-shape partner run exactly as with ``"off"``.
+        Chains run in order: serially inline, and one pool task per chain on
+        the thread backend.  On the process backend each chain runs as a
+        worker chunk sharing one worker-local cache, so it pays a single
+        cold factorization; when the sweep would leave pool workers idle,
+        the longest chains are split into pieces that each repeat the
+        chain's root (one extra cold factorization per extra piece, on an
+        otherwise idle worker — the root's verdict is recorded once).
+        ``n_chains`` / ``n_chained_jobs`` count the planned chains either
+        way.  Systems without a same-shape partner run exactly as with
+        ``"off"``.
     """
 
     def __init__(
@@ -895,6 +929,10 @@ class BatchRunner:
         results: Dict[Tuple[int, int], BatchResult] = {}
 
         def record(key: Tuple[int, int], result: BatchResult) -> None:
+            # First result wins: a fanned-out chain runs its root in every
+            # piece, and the root must reach results and progress once.
+            if key in results:
+                return
             results[key] = result
             _notify_progress(progress, result)
 
@@ -919,6 +957,9 @@ class BatchRunner:
         #: mid-sweep (the rebuild hook the service's supervisor also relies
         #: on); ``None`` only when a replacement could not be created.
         current_pool: Optional[ProcessPoolExecutor] = pool
+        #: Set once every task was collected without a timeout: only then is
+        #: joining the pool guaranteed not to wait on a hung worker.
+        join_pool = False
         try:
             n_workers = pool._max_workers
             in_chains = frozenset(si for chain in chains for si in chain)
@@ -960,21 +1001,24 @@ class BatchRunner:
                      self.cache.store, ancestors),
                 )
 
-            for chain in chains:
-                # One worker chunk per chain, in delta order: the chunk's
+            singles = [
+                si for si in range(len(systems))
+                if si not in in_chunks and si not in in_chains
+            ]
+            pieces = _fill_idle_workers(chains, len(chunks) + len(singles), n_workers)
+            for piece in pieces:
+                # One worker chunk per piece, in delta order: the chunk's
                 # shared worker-local cache makes position 0 the cold root
                 # and every later position an "auto" warm start against it.
-                enqueue_group(chain, {pos: "auto" for pos in range(len(chain))})
+                enqueue_group(piece, {pos: "auto" for pos in range(len(piece))})
             for chunk in chunks:
                 enqueue_group(chunk, {})
-            for si, system in enumerate(systems):
-                if si in in_chunks or si in in_chains:
-                    continue
+            for si in singles:
                 enqueue(
                     (si,),
                     False,
                     _process_worker,
-                    (si, system, methods, self.tol, method_options, registry,
+                    (si, systems[si], methods, self.tol, method_options, registry,
                      self.cache.maxsize, context_payload(si),
                      self.cache.store),
                 )
@@ -1055,9 +1099,16 @@ class BatchRunner:
                 # order, so duplicates in the method list stay distinct.
                 for mi, (method, report, seconds, error) in enumerate(cells):
                     record((index, mi), BatchResult(index, method, report, seconds, error))
+            join_pool = not any(result.timed_out for result in results.values())
         finally:
             if current_pool is not None:
-                current_pool.shutdown(wait=False, cancel_futures=True)
+                if join_pool:
+                    # Every task was collected, so the workers are idle and
+                    # exit on the shutdown sentinel: join them (a few ms) so
+                    # none outlives run().
+                    current_pool.shutdown(wait=True)
+                else:
+                    current_pool.shutdown(wait=False, cancel_futures=True)
             # Unlink every segment; POSIX keeps the mappings of any
             # still-running (abandoned) workers valid, and a worker that
             # attaches after the unlink simply errors in its own cell.

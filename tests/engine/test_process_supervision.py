@@ -11,10 +11,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+from collections import Counter
 
 import pytest
 
-from repro.circuits import rlc_ladder
+from repro.circuits import rlc_grid_corners, rlc_ladder
 from repro.engine import BatchRunner, MethodRegistry, MethodSpec
 from repro.passivity.result import PassivityReport
 
@@ -78,6 +79,33 @@ class TestPoolRebuild:
         # every cell of the sweep still produced a verdict on the retry.
         assert outcome.pool_restarts == 1
         assert len(outcome.results) == len(systems)
+        for result in outcome.results:
+            assert result.error is None
+            assert result.report.is_passive
+
+    def test_fanned_out_sweep_heals_and_records_the_root_once(self, tmp_path):
+        # One same-shape family on two workers fans out into two pieces
+        # that both run the family root; the crash breaks the pool under
+        # both, and the retries must still record every cell exactly once.
+        marker = tmp_path / "crashed-once"
+        family = rlc_grid_corners(3, 3, 5, scale=2e-4, seed=0)
+        calls = Counter()
+        runner = BatchRunner(
+            registry=_registry(),
+            backend="process",
+            max_workers=2,
+            incremental="sweep",
+        )
+        outcome = runner.run(
+            family,
+            methods=("crash-once",),
+            method_options={"crash-once": {"marker": str(marker)}},
+            progress=lambda result: calls.update([result.system_index]),
+        )
+        assert outcome.pool_restarts == 1
+        assert outcome.n_chains == 1
+        assert [r.system_index for r in outcome.results] == list(range(len(family)))
+        assert calls == Counter(range(len(family)))
         for result in outcome.results:
             assert result.error is None
             assert result.report.is_passive
