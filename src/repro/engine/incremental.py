@@ -95,6 +95,7 @@ __all__ = [
     "DeltaFingerprint",
     "structured_delta",
     "delta_distance",
+    "family_key",
     "choose_family_root",
     "UpdateLineage",
     "IncrementalConfig",
@@ -257,6 +258,20 @@ def delta_distance(ancestor: DescriptorSystem, child: DescriptorSystem) -> float
             1.0, float(np.linalg.norm(anc_arr))
         )
     return total
+
+
+def family_key(system: DescriptorSystem) -> Tuple[Tuple[int, ...], ...]:
+    """Perturbation-family identity: the shapes of ``(E, A, B, C, D)``.
+
+    Systems sharing all five shapes are sweep-family candidates for the
+    incremental tier.  The key is coarse on purpose: the real nearness check
+    (structured delta distance, validity bounds) runs inside the engine, so
+    a false match costs one refused update, never a wrong verdict.
+    """
+    return tuple(
+        tuple(matrix.shape)
+        for matrix in (system.e, system.a, system.b, system.c, system.d)
+    )
 
 
 def choose_family_root(systems) -> int:

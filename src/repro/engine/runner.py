@@ -11,18 +11,22 @@ show how many decompositions were shared.
 Backends
 --------
 ``"process"``
-    One task per *system*, running all requested methods in the worker with a
-    worker-local :class:`DecompositionCache` so per-system intermediates are
-    still shared; worker cache counters are merged into the outcome.  Method
+    One :func:`~repro.engine.executor.run_cells` task per *group* of systems
+    — a micro-batch chunk, one piece of a warm-start chain, or a single
+    system as a group of one — on a :class:`~repro.engine.executor.SupervisedPool`.
+    A task runs all requested methods on its group through one worker-local
+    :class:`DecompositionCache`, so per-system intermediates are still shared,
+    and returns one counter delta that is merged into the outcome.  Method
     runners must be picklable (module-level functions) — the built-in registry
     qualifies.  When the runner's cache has a persistent store attached, the
     store is shipped along (workers re-open the same root) so worker-local
     caches share decompositions through the L2 tier as well.  Two transport
-    optimizations apply: large array payloads (spectral contexts, chunk
-    inputs) travel through POSIX shared memory instead of the pickle pipe
+    optimizations apply: large array payloads (spectral contexts, dense
+    systems) travel through POSIX shared memory instead of the pickle pipe
     when available (``transport`` knob, :mod:`repro.engine.shm`), and small
     dense systems are micro-batched several-per-worker-cell
-    (``batch_small_systems`` knob) so dispatch overhead amortizes.
+    (``batch_small_systems`` knob) so dispatch overhead amortizes.  A worker
+    crash rebuilds the pool and resubmits each interrupted task once.
 ``"thread"``
     One task per ``(system, method)`` pair sharing the runner's cache; NumPy
     releases the GIL in the O(n^3) kernels, so threads overlap well.
@@ -33,7 +37,7 @@ Backends
 
 Timeouts are enforced while *collecting* results: a task that exceeds
 ``task_timeout`` is reported as ``timed_out`` and the sweep moves on.  A
-sweep whose every task was collected joins its process pool before ``run()``
+sweep whose every task finished joins its process pool before ``run()``
 returns, so no worker outlives the call.  After a timeout, queued cells that
 never started are cancelled and ``run()`` returns without joining hung
 workers — an already-running worker cannot be forcibly killed (the usual
@@ -47,7 +51,6 @@ from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
@@ -57,26 +60,25 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.descriptor.system import DescriptorSystem
-from repro.engine.api import check_passivity
 from repro.engine.cache import (
     PENCIL_SPECTRUM,
     CacheStats,
     DecompositionCache,
     fingerprint_system,
 )
+from repro.engine.executor import CellTask, SupervisedPool, _run_cell, run_cells
+from repro.engine.incremental import delta_distance, family_key
 from repro.engine.registry import DEFAULT_REGISTRY, MethodRegistry, UnknownMethodError
 from repro.engine.shm import (
     ArrayArena,
     ArrayShipment,
-    load_context,
-    load_systems,
     ship_context,
     ship_systems,
     shm_available,
 )
 from repro.linalg.pencil import SpectralContext
 from repro.obs.metrics import METRICS, observe_span_tree
-from repro.obs.trace import JobTrace, use_trace
+from repro.obs.trace import JobTrace
 from repro.passivity.result import PassivityReport
 
 __all__ = ["BatchResult", "BatchOutcome", "BatchRunner"]
@@ -186,152 +188,6 @@ def _notify_progress(progress, result) -> None:
         progress(result)
     except Exception:  # noqa: BLE001 - observer faults never fail the sweep
         pass
-
-
-def _run_cell(
-    system: DescriptorSystem,
-    method: str,
-    tol: Tolerances,
-    cache: Optional[DecompositionCache],
-    registry: Optional[MethodRegistry],
-    options: Dict[str, Any],
-    ancestor: Optional[Any] = None,
-) -> Tuple[Optional[PassivityReport], float, Optional[str]]:
-    """Run one method on one system, converting exceptions to error strings.
-
-    ``ancestor`` is forwarded to :func:`check_passivity` for sweep-mode
-    cells (``"auto"`` or an explicit system); the engine ignores it for
-    methods the incremental tier does not serve.
-    """
-    start = time.perf_counter()
-    try:
-        report = check_passivity(
-            system, method=method, tol=tol, cache=cache, registry=registry,
-            ancestor=ancestor, **options
-        )
-        return report, time.perf_counter() - start, None
-    except Exception as error:  # noqa: BLE001 - one bad cell must not kill the sweep
-        message = f"{type(error).__name__}: {error}"
-        return None, time.perf_counter() - start, message
-
-
-def _process_worker(
-    payload: Tuple[
-        int,
-        DescriptorSystem,
-        Tuple[str, ...],
-        Tolerances,
-        Dict[str, Dict[str, Any]],
-        Optional[MethodRegistry],
-        Optional[int],
-        Optional[SpectralContext],
-        Optional[Any],
-    ],
-) -> Tuple[
-    int,
-    List[Tuple[str, Optional[PassivityReport], float, Optional[str]]],
-    CacheStats,
-    List[Dict[str, Any]],
-]:
-    """Process-pool task: run every requested method on one system.
-
-    ``payload`` may carry the system's spectral context computed once in the
-    parent; it is seeded into the worker-local cache so every method's
-    spectral queries are hits and the worker performs no pencil
-    factorization of its own.  It may also carry the parent cache's
-    persistent store (pickled by reference: the worker re-opens the same
-    root), which backs the worker-local cache as its L2 tier — systems
-    solved by any prior run or any other worker rehydrate without a single
-    factorization, and this worker's results persist for the rest of the
-    fleet.
-    """
-    (
-        index, system, methods, tol, method_options, registry,
-        cache_maxsize, context, store,
-    ) = payload
-    cache = DecompositionCache(maxsize=cache_maxsize, store=store)
-    trace = JobTrace()
-    with use_trace(trace):
-        if isinstance(context, ArrayShipment):
-            # Shared-memory transport: the payload carried only the segment
-            # name; map it and rebuild the context over zero-copy views.
-            context = load_context(context)
-        if context is not None:
-            cache.seed(system, PENCIL_SPECTRUM, context, tol=tol)
-        cells = []
-        for method in methods:
-            report, seconds, error = _run_cell(
-                system, method, tol, cache, registry,
-                method_options.get(method, {})
-            )
-            cells.append((method, report, seconds, error))
-    return index, cells, cache.stats, trace.to_jsonable()
-
-
-def _process_batch_worker(
-    payload: Tuple[
-        Tuple[int, ...],
-        Any,
-        Tuple[str, ...],
-        Tolerances,
-        Dict[str, Dict[str, Any]],
-        Optional[MethodRegistry],
-        Optional[int],
-        Dict[int, Any],
-        Optional[Any],
-        Dict[int, Any],
-    ],
-) -> Tuple[
-    List[Tuple[int, List[Tuple[str, Optional[PassivityReport], float, Optional[str]]]]],
-    CacheStats,
-    List[Dict[str, Any]],
-]:
-    """Process-pool task: run every requested method on a *chunk* of systems.
-
-    The micro-batch counterpart of :func:`_process_worker`: one worker cell
-    amortizes interpreter spin-up, cache construction and payload transport
-    over several small systems.  The chunk's systems arrive either as a list
-    or as one :class:`~repro.engine.shm.ArrayShipment` packing all their
-    dense matrices; precomputed contexts (keyed by chunk position) are
-    seeded into the chunk's **single** worker-local cache.  Exactly one
-    :class:`CacheStats` is returned per chunk — the parent merges it once,
-    so factorization and L2-hit counters stay exact: jobs inside the chunk
-    that share intermediates through the chunk cache are counted as the
-    hits they really are, never double-booked per job.
-
-    ``ancestors`` (chunk position → ancestor hint) carries the sweep mode's
-    warm-start plan: a chain (or one fanned-out piece of it, see
-    :func:`_fill_idle_workers`) ships as one chunk in delta order, its root
-    runs cold into the chunk cache and every later position warm-starts
-    through the cache's ancestor registry (hint ``"auto"``), so the chunk
-    pays one QZ no matter how many corners it holds.
-    """
-    (
-        indices, fleet, methods, tol, method_options, registry,
-        cache_maxsize, contexts, store, ancestors,
-    ) = payload
-    cache = DecompositionCache(maxsize=cache_maxsize, store=store)
-    trace = JobTrace()
-    with use_trace(trace):
-        systems = (
-            load_systems(fleet) if isinstance(fleet, ArrayShipment) else fleet
-        )
-        for position, context in contexts.items():
-            if isinstance(context, ArrayShipment):
-                context = load_context(context)
-            cache.seed(systems[position], PENCIL_SPECTRUM, context, tol=tol)
-        batched = []
-        for position, index in enumerate(indices):
-            cells = []
-            for method in methods:
-                report, seconds, error = _run_cell(
-                    systems[position], method, tol, cache, registry,
-                    method_options.get(method, {}),
-                    ancestor=ancestors.get(position),
-                )
-                cells.append((method, report, seconds, error))
-            batched.append((index, cells))
-    return batched, cache.stats, trace.to_jsonable()
 
 
 def _fill_idle_workers(
@@ -579,18 +435,10 @@ class BatchRunner:
         """
         if self.incremental != "sweep":
             return []
-        from repro.engine.incremental import delta_distance
-
         groups: Dict[Tuple[Tuple[int, ...], ...], List[int]] = {}
         for si, system in enumerate(systems):
-            if system.is_sparse:
-                continue
-            shapes = (
-                tuple(system.e.shape), tuple(system.a.shape),
-                tuple(system.b.shape), tuple(system.c.shape),
-                tuple(system.d.shape),
-            )
-            groups.setdefault(shapes, []).append(si)
+            if not system.is_sparse:
+                groups.setdefault(family_key(system), []).append(si)
         chains: List[List[int]] = []
         for members in groups.values():
             if len(members) < 2:
@@ -717,7 +565,7 @@ class BatchRunner:
             # breaks mid-sweep surfaces as per-cell errors instead of silently
             # discarding completed work and re-running everything locally.
             try:
-                pool = ProcessPoolExecutor(max_workers=self.max_workers)
+                pool = SupervisedPool(max_workers=self.max_workers)
             except (OSError, PermissionError):
                 if backend == "process":
                     raise
@@ -899,7 +747,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _run_process(
         self,
-        pool: ProcessPoolExecutor,
+        pool: SupervisedPool,
         systems: List[DescriptorSystem],
         methods: Tuple[str, ...],
         method_options: Dict[str, Dict[str, Any]],
@@ -908,33 +756,34 @@ class BatchRunner:
         chains: List[List[int]],
         progress: Optional[Callable[[BatchResult], None]] = None,
     ) -> BatchOutcome:
-        # Group by system so the worker-local cache still shares the
-        # per-system intermediates across methods.  The registry is shipped to
-        # the workers (specs pickle by reference, so runners must be
-        # module-level functions); relying on the worker re-importing
-        # DEFAULT_REGISTRY would drop dynamically registered methods under a
-        # spawn start method.  Each payload also carries the parent-computed
-        # spectral context (serialized Q/Z/alpha/beta) so the worker seeds its
-        # local cache instead of re-factorizing the pencil.
+        # Every task is one run_cells call on a group of systems: a chain
+        # piece, a micro-batch chunk or a single system as a group of one.
+        # The task's one worker-local cache shares per-system intermediates
+        # across methods.  The registry is shipped to the workers (specs
+        # pickle by reference, so runners must be module-level functions);
+        # relying on the worker re-importing DEFAULT_REGISTRY would drop
+        # dynamically registered methods under a spawn start method.  The
+        # parent-computed spectral contexts are seeded into the task's cache
+        # instead of re-factorizing the pencil.  With the shm transport, dense
+        # systems and context bundles travel as segment names, not pickled
+        # bytes (see repro.engine.shm).
         #
-        # Two hot-path optimizations apply on top:
-        # * shared-memory transport — context bundles and chunk inputs travel
-        #   as segment names, not pickled bytes (see repro.engine.shm);
-        # * micro-batching — small dense systems are grouped several-per
-        #   worker cell (_process_batch_worker), amortizing dispatch.
-        registry = self.registry
         # Parent-side precompute counters (the hoisted factorizations) join
         # the merged worker counters so the sweep telemetry stays complete.
         merged = self.cache.stats.minus(stats_baseline)
         results: Dict[Tuple[int, int], BatchResult] = {}
 
-        def record(key: Tuple[int, int], result: BatchResult) -> None:
+        def record(si: int, mi: int, result: BatchResult) -> None:
             # First result wins: a fanned-out chain runs its root in every
             # piece, and the root must reach results and progress once.
-            if key in results:
-                return
-            results[key] = result
-            _notify_progress(progress, result)
+            if (si, mi) not in results:
+                results[si, mi] = result
+                _notify_progress(progress, result)
+
+        def fail(group: List[int], **outcome: Any) -> None:
+            for si in group:
+                for mi, method in enumerate(methods):
+                    record(si, mi, BatchResult(si, method, **outcome))
 
         use_shm = self.transport != "pickle" and shm_available()
         arena = ArrayArena() if use_shm else None
@@ -943,172 +792,109 @@ class BatchRunner:
         shipped_contexts: Dict[int, ArrayShipment] = {}
 
         def context_payload(si: int) -> Any:
-            context = contexts.get(si)
-            if context is None or arena is None:
+            context = contexts[si]
+            if arena is None:
                 return context
             key = id(context)
             if key not in shipped_contexts:
                 shipped_contexts[key] = ship_context(arena, context)
             return shipped_contexts[key]
 
-        chunks: List[List[int]] = []
-        pool_restarts = 0
-        #: The pool currently accepting work.  A broken pool is replaced
-        #: mid-sweep (the rebuild hook the service's supervisor also relies
-        #: on); ``None`` only when a replacement could not be created.
-        current_pool: Optional[ProcessPoolExecutor] = pool
-        #: Set once every task was collected without a timeout: only then is
-        #: joining the pool guaranteed not to wait on a hung worker.
-        join_pool = False
+        #: Collection queue of ``[group, task, future, pool, retried]``: a
+        #: task interrupted by a worker crash is resubmitted once to the
+        #: rebuilt pool (shm shipments stay valid — the arena unlinks its
+        #: segments only after the sweep).
+        tasks: "deque[List[Any]]" = deque()
+
+        def enqueue(group: List[int], ancestor: Optional[str]) -> None:
+            fleet: Any = [systems[si] for si in group]
+            if arena is not None and not any(system.is_sparse for system in fleet):
+                fleet = ship_systems(arena, fleet)
+            task = CellTask(
+                fleet,
+                [
+                    (position, method, method_options.get(method, {}), ancestor)
+                    for position in range(len(group))
+                    for method in methods
+                ],
+                self.tol,
+                self.registry,
+                (self.cache.maxsize, self.cache.store),
+                {
+                    position: context_payload(si)
+                    for position, si in enumerate(group)
+                    if si in contexts
+                },
+            )
+            future, task_pool = pool.submit(run_cells, task)
+            tasks.append([group, task, future, task_pool, False])
+
+        n_workers = pool.max_workers
         try:
-            n_workers = pool._max_workers
             in_chains = frozenset(si for chain in chains for si in chain)
             chunks = self._plan_chunks(systems, n_workers, exclude=in_chains)
             in_chunks = {si for chunk in chunks for si in chunk}
-
-            #: Collection queue: each entry keeps its task function and
-            #: payload so a crash-interrupted task can be resubmitted to a
-            #: rebuilt pool (shm shipments stay valid — the arena unlinks
-            #: its segments only after the sweep).
-            tasks: "deque[Dict[str, Any]]" = deque()
-
-            def enqueue(indices: Tuple[int, ...], is_batch: bool, fn: Any, payload: Any) -> None:
-                tasks.append({
-                    "indices": indices,
-                    "is_batch": is_batch,
-                    "fn": fn,
-                    "payload": payload,
-                    "future": current_pool.submit(fn, payload),
-                    "pool": current_pool,
-                    "retried": False,
-                })
-
-            def enqueue_group(group: List[int], ancestors: Dict[int, Any]) -> None:
-                fleet: Any = [systems[si] for si in group]
-                if arena is not None:
-                    fleet = ship_systems(arena, fleet)
-                group_contexts = {
-                    position: context_payload(si)
-                    for position, si in enumerate(group)
-                    if contexts.get(si) is not None
-                }
-                enqueue(
-                    tuple(group),
-                    True,
-                    _process_batch_worker,
-                    (tuple(group), fleet, methods, self.tol, method_options,
-                     registry, self.cache.maxsize, group_contexts,
-                     self.cache.store, ancestors),
-                )
-
             singles = [
                 si for si in range(len(systems))
                 if si not in in_chunks and si not in in_chains
             ]
             pieces = _fill_idle_workers(chains, len(chunks) + len(singles), n_workers)
             for piece in pieces:
-                # One worker chunk per piece, in delta order: the chunk's
-                # shared worker-local cache makes position 0 the cold root
-                # and every later position an "auto" warm start against it.
-                enqueue_group(piece, {pos: "auto" for pos in range(len(piece))})
+                # One task per piece, in delta order: the task's one cache
+                # makes position 0 the cold root and every later position an
+                # "auto" warm start against it.
+                enqueue(piece, "auto")
             for chunk in chunks:
-                enqueue_group(chunk, {})
+                enqueue(chunk, None)
             for si in singles:
-                enqueue(
-                    (si,),
-                    False,
-                    _process_worker,
-                    (si, systems[si], methods, self.tol, method_options, registry,
-                     self.cache.maxsize, context_payload(si),
-                     self.cache.store),
-                )
+                enqueue([si], None)
             while tasks:
-                task = tasks.popleft()
-                indices = task["indices"]
-                # task_timeout budgets *one system's* worth of work; a
-                # micro-batch chunk bundles several systems into one future,
-                # so its wait scales with the chunk size — a caller's tuned
-                # per-system timeout keeps its meaning under batching.
+                group, task, future, task_pool, retried = tasks.popleft()
+                # task_timeout budgets *one system's* worth of work; a task
+                # bundling several systems is waited on for that many
+                # budgets, so a caller's tuned timeout keeps its meaning.
                 timeout = None
                 if self.task_timeout is not None:
-                    timeout = self.task_timeout * len(indices)
+                    timeout = self.task_timeout * len(group)
                 try:
-                    payload = task["future"].result(timeout=timeout)
+                    outcomes, stats, spans = future.result(timeout=timeout)
                 except FutureTimeoutError:
-                    for si in indices:
-                        for mi, method in enumerate(methods):
-                            record((si, mi), BatchResult(si, method, timed_out=True))
+                    fail(group, timed_out=True)
                     continue
                 except BrokenExecutor as error:
                     # A worker crash (OOM kill, segfault) breaks the whole
                     # pool: every in-flight future of that pool fails.  Heal
-                    # by building a replacement pool and resubmitting each
-                    # affected task once; only a task that crashes the
-                    # *rebuilt* pool too marks its cells failed.
-                    if task["pool"] is current_pool:
-                        current_pool.shutdown(wait=False, cancel_futures=True)
-                        pool_restarts += 1
-                        try:
-                            current_pool = ProcessPoolExecutor(
-                                max_workers=self.max_workers
-                            )
-                        except (OSError, PermissionError):
-                            current_pool = None
-                    if current_pool is not None and not task["retried"]:
-                        task["retried"] = True
-                        task["pool"] = current_pool
-                        task["future"] = current_pool.submit(
-                            task["fn"], task["payload"]
-                        )
-                        tasks.append(task)
+                    # it and resubmit each affected task once; only a task
+                    # that breaks the *rebuilt* pool too fails its cells.
+                    pool.heal(task_pool)
+                    if not retried:
+                        future, task_pool = pool.submit(run_cells, task)
+                        tasks.append([group, task, future, task_pool, True])
                         continue
-                    message = f"{type(error).__name__}: {error}"
-                    for si in indices:
-                        for mi, method in enumerate(methods):
-                            record((si, mi), BatchResult(si, method, error=message))
+                    fail(group, error=f"{type(error).__name__}: {error}")
                     continue
                 except (PicklingError, OSError) as error:
                     # Unpicklable payloads and transport I/O failures are
                     # deterministic — a retry cannot help; they cost the
                     # affected cells, not the whole sweep.
-                    message = f"{type(error).__name__}: {error}"
-                    for si in indices:
-                        for mi, method in enumerate(methods):
-                            record((si, mi), BatchResult(si, method, error=message))
+                    fail(group, error=f"{type(error).__name__}: {error}")
                     continue
-                if task["is_batch"]:
-                    batched, stats, spans = payload
-                    # Exactly one stats merge per chunk: the chunk shares one
-                    # worker cache, so merging its delta once keeps the
-                    # factorization / L2 counters exact under batching.
-                    merged.merge(stats)
-                    # Same rule for the chunk's span tree: the worker-side
-                    # stage timings replay into the parent registry once.
-                    observe_span_tree(METRICS, JobTrace.from_jsonable(spans))
-                    for index, cells in batched:
-                        for mi, (method, report, seconds, error) in enumerate(cells):
-                            record(
-                                (index, mi),
-                                BatchResult(index, method, report, seconds, error),
-                            )
-                    continue
-                index, cells, stats, spans = payload
+                # Exactly one stats merge and one span replay per task: the
+                # task shares one worker cache, so merging its delta once
+                # keeps the factorization / L2 counters exact.
                 merged.merge(stats)
-                observe_span_tree(METRICS, JobTrace.from_jsonable(spans))
-                # The worker emits one cell per entry of ``methods``, in
-                # order, so duplicates in the method list stay distinct.
-                for mi, (method, report, seconds, error) in enumerate(cells):
-                    record((index, mi), BatchResult(index, method, report, seconds, error))
-            join_pool = not any(result.timed_out for result in results.values())
+                tree = JobTrace.from_jsonable(spans)
+                # run_cells returns the cells in task order: per system, one
+                # cell per entry of ``methods`` (duplicates stay distinct).
+                cells = iter(outcomes)
+                for si in group:
+                    for mi, method in enumerate(methods):
+                        report, seconds, error, cell_spans = next(cells)
+                        tree.merge(JobTrace.from_jsonable(cell_spans))
+                        record(si, mi, BatchResult(si, method, report, seconds, error))
+                observe_span_tree(METRICS, tree)
         finally:
-            if current_pool is not None:
-                if join_pool:
-                    # Every task was collected, so the workers are idle and
-                    # exit on the shutdown sentinel: join them (a few ms) so
-                    # none outlives run().
-                    current_pool.shutdown(wait=True)
-                else:
-                    current_pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown()
             # Unlink every segment; POSIX keeps the mappings of any
             # still-running (abandoned) workers valid, and a worker that
             # attaches after the unlink simply errors in its own cell.
@@ -1131,5 +917,5 @@ class BatchRunner:
             n_chains=len(chains),
             n_chained_jobs=sum(len(chain) for chain in chains),
             shm_bytes=arena.shipped_bytes if arena is not None else 0,
-            pool_restarts=pool_restarts,
+            pool_restarts=pool.restarts,
         )

@@ -299,18 +299,11 @@ class ScenarioSpec:
         """Family-root index for a shape-uniform portfolio, else ``None``."""
         if len(systems) < 2:
             return None
-        shapes = {
-            (
-                tuple(member.e.shape),
-                tuple(member.b.shape),
-                tuple(member.c.shape),
-                tuple(member.d.shape),
-            )
-            for member in systems
-        }
+        from repro.engine.incremental import choose_family_root, family_key
+
+        shapes = {family_key(member) for member in systems}
         if len(shapes) != 1 or any(member.is_sparse for member in systems):
             return None
-        from repro.engine.incremental import choose_family_root
 
         try:
             return choose_family_root(systems)

@@ -20,12 +20,17 @@ Architecture
   that is a :class:`~concurrent.futures.ThreadPoolExecutor` driven through
   :meth:`BatchRunner.run_cell`, the engine's per-cell hook — NumPy releases
   the GIL in the O(n^3) kernels, so threads overlap well.  With
-  ``executor="process"`` it is a
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers boot with
-  a worker-local :class:`~repro.engine.DecompositionCache` backed by the
-  service's persistent store: a system solved by *any* worker — or any
-  prior run sharing the store — rehydrates its decompositions from disk
-  and costs zero factorizations fleet-wide.
+  ``executor="process"`` it is the engine's
+  :class:`~repro.engine.executor.SupervisedPool`, the same pool and the
+  same process task (:func:`~repro.engine.executor.run_cells`) the batch
+  runner uses.  Every dispatch — one job, or a micro-batch of small jobs —
+  is one task.  The workers boot with a worker-local
+  :class:`~repro.engine.DecompositionCache` backed by the service's
+  persistent store: a system solved by *any* worker — or any prior run
+  sharing the store — rehydrates its decompositions from disk and costs
+  zero factorizations fleet-wide.  A crashed worker breaks the pool; the
+  pool is healed and the interrupted jobs are re-queued within their retry
+  budget.  ``close()`` joins the workers when no dispatch is running.
 * **Backpressure**: with ``max_queue`` set, submissions beyond the queue
   bound raise :class:`~repro.exceptions.QueueFullError` (the HTTP
   front-end answers ``429``); coalesced duplicates are never rejected —
@@ -63,27 +68,19 @@ import threading
 import time
 import uuid
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from dataclasses import dataclass, field
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config import Tolerances
 from repro.descriptor.system import DescriptorSystem
 from repro.engine.cache import CacheStats, DecompositionCache, fingerprint_system
+from repro.engine.executor import CellTask, SupervisedPool, init_worker, run_cells
+from repro.engine.incremental import family_key
 from repro.engine.registry import MethodRegistry
-from repro.engine.runner import BatchRunner, _run_cell
-from repro.engine.shm import (
-    ArrayArena,
-    ArrayShipment,
-    load_systems,
-    ship_systems,
-    shm_available,
-)
+from repro.engine.runner import BatchRunner
+from repro.engine.shm import ArrayArena, ArrayShipment, ship_systems, shm_available
 from repro.exceptions import (
     JobCancelledError,
     JobFailedError,
@@ -130,148 +127,6 @@ from repro.service.serialization import (
 from repro.store import DecompositionStore
 
 __all__ = ["PassivityService", "ServiceStats"]
-
-
-#: Worker-process-global cache, installed by :func:`_process_worker_init`.
-#: One cache per worker process, alive across all the jobs the worker runs,
-#: backed by the shared store when the service has one.
-_WORKER_CACHE: Optional[DecompositionCache] = None
-
-
-def _process_worker_init(
-    store: Optional[DecompositionStore], maxsize: Optional[int]
-) -> None:
-    """Process-pool initializer: boot the worker-local, store-backed cache.
-
-    The store pickles by reference (the worker re-opens the same root), so
-    every worker's L1 misses fall through to the shared on-disk tier — the
-    ``DecompositionCache.seed()``-free way to share decompositions
-    fleet-wide.
-    """
-    global _WORKER_CACHE
-    _WORKER_CACHE = DecompositionCache(maxsize=maxsize, store=store)
-
-
-def _process_cell(
-    payload: Tuple[
-        Any,
-        str,
-        Dict[str, Any],
-        Tolerances,
-        Optional[MethodRegistry],
-        Any,
-    ],
-) -> Tuple[
-    Optional[PassivityReport],
-    float,
-    Optional[str],
-    CacheStats,
-    List[Dict[str, Any]],
-]:
-    """Process-pool task: run one job's cell in the worker process.
-
-    The system arrives either pickled or — when the service's shared-memory
-    arena is on — as an :class:`~repro.engine.shm.ArrayShipment` naming the
-    segment that holds its dense matrices.  ``ancestor`` (a system, a
-    shipment of one, or ``None``) is the sweep-aware dispatch's warm-start
-    hint: when this worker's cache holds (or L2-rehydrates) the ancestor's
-    decompositions, the job certifies incrementally instead of cold.
-    Returns the cell outcome plus the worker cache's counter *delta* for
-    this job, which the service merges into its telemetry so ``stats()``
-    reflects worker-side hits, misses and L2 traffic — and the worker-side
-    span tree (shm loads, cache outcomes, factorizations) in wire form,
-    which the parent grafts onto the job's trace and replays into its own
-    stage histograms exactly once.
-    """
-    system, method, options, tol, registry, ancestor = payload
-    job_trace = JobTrace()
-    with use_trace(job_trace):
-        if isinstance(system, ArrayShipment):
-            system = load_systems(system)[0]
-        if isinstance(ancestor, ArrayShipment):
-            ancestor = load_systems(ancestor)[0]
-        cache = (
-            _WORKER_CACHE if _WORKER_CACHE is not None else DecompositionCache()
-        )
-        baseline = cache.stats.snapshot()
-        report, seconds, error = _run_cell(
-            system, method, tol, cache, registry, options, ancestor=ancestor
-        )
-    return (
-        report,
-        seconds,
-        error,
-        cache.stats.minus(baseline),
-        job_trace.to_jsonable(),
-    )
-
-
-def _process_batch_cells(
-    payload: Tuple[
-        Any,
-        List[Tuple[str, Dict[str, Any]]],
-        Tolerances,
-        Optional[MethodRegistry],
-        List[Any],
-    ],
-) -> Tuple[
-    List[
-        Tuple[
-            Optional[PassivityReport],
-            float,
-            Optional[str],
-            List[Dict[str, Any]],
-        ]
-    ],
-    CacheStats,
-    List[Dict[str, Any]],
-]:
-    """Process-pool task: run a micro-batch of small jobs in one worker cell.
-
-    The batch's systems travel together (one
-    :class:`~repro.engine.shm.ArrayShipment` or one pickled list); every
-    cell runs through the worker's **single** store-backed cache, and the
-    cache counter delta is computed once for the whole batch — so
-    factorizations shared between the batched jobs are counted exactly,
-    never once per job.  ``ancestors`` aligns with ``cells`` and carries
-    each job's optional warm-start hint (sweep-aware dispatch).  Each
-    outcome carries its cell's own span tree; batch-shared stages (the
-    fleet shipment load) come back once, in the third element.
-    """
-    fleet, cells, tol, registry, ancestors = payload
-    batch_trace = JobTrace()
-    with use_trace(batch_trace):
-        systems = (
-            load_systems(fleet) if isinstance(fleet, ArrayShipment) else fleet
-        )
-    cache = _WORKER_CACHE if _WORKER_CACHE is not None else DecompositionCache()
-    baseline = cache.stats.snapshot()
-    loaded: Dict[int, Any] = {}
-    outcomes = []
-    for position, (system, (method, options)) in enumerate(zip(systems, cells)):
-        cell_trace = JobTrace()
-        with use_trace(cell_trace):
-            ancestor = ancestors[position] if position < len(ancestors) else None
-            if isinstance(ancestor, ArrayShipment):
-                # The same family shipment may back several cells; load once.
-                if id(ancestor) not in loaded:
-                    loaded[id(ancestor)] = load_systems(ancestor)[0]
-                ancestor = loaded[id(ancestor)]
-            report, seconds, error = _run_cell(
-                system, method, tol, cache, registry, options, ancestor=ancestor
-            )
-        outcomes.append((report, seconds, error, cell_trace.to_jsonable()))
-    return outcomes, cache.stats.minus(baseline), batch_trace.to_jsonable()
-
-
-def _probe_ping() -> int:
-    """Process-pool no-op probe task: answer with the worker's pid.
-
-    Dispatched by the service's supervision loop to prove the pool still
-    has live, responsive workers; the returned pid is the heartbeat the
-    health plane (``GET /healthz``) reports on.
-    """
-    return os.getpid()
 
 
 @dataclass
@@ -403,65 +258,12 @@ class ServiceStats:
 
     def to_jsonable(self) -> Dict[str, Any]:
         """Plain-dict form of the snapshot for transport front-ends."""
-        return {
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
-            "running": self.running,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "timed_out": self.timed_out,
-            "deduplicated": self.deduplicated,
-            "rejected": self.rejected,
-            "uptime_seconds": self.uptime_seconds,
-            "throughput_per_second": self.throughput_per_second,
-            "executor": self.executor,
-            "queue_capacity": self.queue_capacity,
-            "transport": self.transport,
-            "batches": self.batches,
-            "batched_jobs": self.batched_jobs,
-            "batch_occupancy": self.batch_occupancy,
-            "shm_bytes": self.shm_bytes,
-            "pool_restarts": self.pool_restarts,
-            "retried": self.retried,
-            "replayed": self.replayed,
-            "incremental_hits": self.incremental_hits,
-            "incremental_fallbacks": self.incremental_fallbacks,
-            "update_residual_max": self.update_residual_max,
-            "scenarios": self.scenarios,
-            "streamed_events": self.streamed_events,
-            "dropped_events": self.dropped_events,
-            "queue_wait_max": self.queue_wait_max,
-            "journal_lag": self.journal_lag,
-            "stages": {
-                stage: dict(quantiles)
-                for stage, quantiles in self.stages.items()
-            },
-            "cache": dict(self.cache),
-        }
+        return asdict(self)
 
 
 def _options_key(options: Dict[str, Any]) -> str:
     """Stable textual key of a method-options dict (dedup identity)."""
     return repr(sorted((str(k), repr(v)) for k, v in options.items()))
-
-
-def _family_key(system: Any) -> Tuple[Tuple[int, ...], ...]:
-    """Perturbation-family identity: the five matrix shapes.
-
-    Systems sharing all shapes are sweep-family candidates for the
-    incremental tier; the actual nearness check (structured delta distance,
-    validity bounds) happens inside the engine, so a coarse key only costs
-    a doomed attempt, never a wrong verdict.
-    """
-    return (
-        tuple(system.e.shape),
-        tuple(system.a.shape),
-        tuple(system.b.shape),
-        tuple(system.c.shape),
-        tuple(system.d.shape),
-    )
 
 
 class PassivityService:
@@ -719,7 +521,10 @@ class PassivityService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._start_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
-        self._executor: Optional[Any] = None
+        #: Thread executor (``executor="thread"``) or supervised process
+        #: pool (``executor="process"``); built at startup.
+        self._threads: Optional[ThreadPoolExecutor] = None
+        self._pool: Optional[SupervisedPool] = None
         self._queue: Optional["asyncio.PriorityQueue"] = None
         self._worker_tasks: List["asyncio.Task"] = []
         self._probe_task: Optional["asyncio.Task"] = None
@@ -742,7 +547,6 @@ class PassivityService:
         self._n_rejected = 0
         self._n_batches = 0
         self._n_batched_jobs = 0
-        self._n_pool_restarts = 0
         self._n_retried = 0
         self._n_replayed = 0
         self._n_scenarios = 0
@@ -1001,10 +805,20 @@ class PassivityService:
     async def _startup(self) -> None:
         """Create the queue, executor and worker tasks (loop thread)."""
         self._queue = asyncio.PriorityQueue()
-        self._executor = self._make_executor()
         if self._executor_kind == "process":
+            # Every worker process boots one cache backed by the service's
+            # store; a rebuilt pool re-runs the same initializer.
+            self._pool = SupervisedPool(
+                max_workers=self._max_workers,
+                initializer=init_worker,
+                initargs=(self._store, self._runner.cache.maxsize),
+            )
             if self._transport != "pickle" and shm_available():
                 self._arena = ArrayArena()
+        else:
+            self._threads = ThreadPoolExecutor(
+                max_workers=self._max_workers, thread_name_prefix="repro-service"
+            )
         self._last_heartbeat = time.time()
         # Journal replay: accepted-but-unfinished jobs of the previous
         # incarnation re-enter the queue (bypassing the max_queue bound —
@@ -1031,54 +845,28 @@ class PassivityService:
         if self._executor_kind == "process":
             self._probe_task = loop.create_task(self._probe_loop())
 
-    def _make_executor(self) -> Any:
-        """Build a fresh executor with the configured worker bootstrap.
+    @property
+    def _executor(self) -> Optional[Any]:
+        """The live executor: the thread pool, or the current process pool."""
+        return self._pool.pool if self._pool is not None else self._threads
 
-        Process pools re-run :func:`_process_worker_init` with the service's
-        store/cache configuration, so a rebuilt pool's workers come back
-        with the same store-backed caches as the original fleet.  Pool
-        creation is lazy about failure: a broken multiprocessing
-        environment surfaces as FAILED jobs rather than a failed start.
-        """
-        if self._executor_kind == "process":
-            return ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_process_worker_init,
-                initargs=(self._store, self._runner.cache.maxsize),
-            )
-        return ThreadPoolExecutor(
-            max_workers=self._max_workers, thread_name_prefix="repro-service"
-        )
+    @property
+    def _pool_restarts(self) -> int:
+        """Broken process pools torn down so far (0 for threads)."""
+        return self._pool.restarts if self._pool is not None else 0
 
-    def _ensure_executor(self) -> Any:
-        """The live executor, lazily rebuilt after a broken-pool teardown."""
-        if self._executor is None:
-            self._executor = self._make_executor()
-            self._last_heartbeat = time.time()
-        return self._executor
-
-    def _handle_broken_pool(self, executor: Any) -> None:
+    def _heal(self, pool: Any) -> None:
         """Tear down a broken process pool (loop thread only).
 
-        Idempotent per pool: when several dispatches observe the same
-        corpse, only the first (the one whose ``executor`` is still the
-        service's current one) counts a restart and shuts it down.  The
-        replacement pool is built lazily by :meth:`_ensure_executor` at the
-        next dispatch, so a crash-looping environment does not spin.
+        :meth:`SupervisedPool.heal` is idempotent per pool, so when several
+        dispatches observe the same corpse only the first counts a restart.
+        The replacement is built at the next dispatch.
         """
-        if executor is None or executor is not self._executor:
+        if not self._pool.heal(pool):
             return
-        self._n_pool_restarts += 1
         get_logger("repro.service").warning(
-            "pool_restart",
-            restarts=self._n_pool_restarts,
-            executor=self._executor_kind,
+            "pool_restart", restarts=self._pool.restarts, executor="process"
         )
-        self._executor = None
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # noqa: BLE001 - the pool is already broken
-            pass
         # The service is healing, not dead: restart the staleness clock.
         self._last_heartbeat = time.time()
 
@@ -1108,7 +896,7 @@ class PassivityService:
     async def _probe_loop(self) -> None:
         """Supervision coroutine: ping the process pool, refresh heartbeat.
 
-        A periodic no-op task proves the pool can still answer; a broken
+        A periodic ``os.getpid`` call proves the pool can still answer; a broken
         pool found here is torn down exactly like one found by a job
         dispatch, so the service heals even when idle.  An unanswered
         (but unbroken) probe just leaves the heartbeat stale — sustained
@@ -1116,14 +904,8 @@ class PassivityService:
         """
         while True:
             await asyncio.sleep(self._probe_interval)
-            executor = self._ensure_executor()
-            try:
-                future = asyncio.wrap_future(executor.submit(_probe_ping))
-            except BrokenExecutor:
-                self._handle_broken_pool(executor)
-                continue
-            except Exception:  # noqa: BLE001 - probing must not kill supervision
-                continue
+            pool_future, pool = self._pool.submit(os.getpid)
+            future = asyncio.wrap_future(pool_future)
             done, pending = await asyncio.wait({future}, timeout=self._dead_after)
             if pending:
                 future.add_done_callback(_ignore_outcome)
@@ -1131,7 +913,7 @@ class PassivityService:
             try:
                 future.result()
             except BrokenExecutor:
-                self._handle_broken_pool(executor)
+                self._heal(pool)
             except Exception:  # noqa: BLE001 - probing must not kill supervision
                 pass
             else:
@@ -1162,8 +944,12 @@ class PassivityService:
                 # Release the loop's selector fd and self-pipe; skipped when
                 # the join timed out (closing a running loop would raise).
                 loop.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        if self._pool is not None:
+            # Joins the workers only when no dispatch is still running: a
+            # timed-out job's worker cannot be killed and is not waited for.
+            self._pool.shutdown()
+        if self._threads is not None:
+            self._threads.shutdown(wait=False, cancel_futures=True)
         if self._arena is not None:
             # Unlink every outstanding segment; mappings held by abandoned
             # workers stay valid (POSIX), nothing can leak past close().
@@ -1848,7 +1634,7 @@ class PassivityService:
     # ------------------------------------------------------------------
     def _batch_eligible(self, job: Job) -> bool:
         """True when the job may ride a micro-batch dispatch."""
-        if self._executor_kind != "process" or self._batch_policy is False:
+        if self._batch_policy is False:
             return False
         if job.no_batch:
             # Survivor of a failed batch dispatch: it must run as a
@@ -1917,25 +1703,20 @@ class PassivityService:
     def _abandon_dispatch(
         self,
         future: "asyncio.Future",
-        pool_future: Optional[Any],
+        pool_future: Any,
         shipments: List[ArrayShipment],
     ) -> bool:
         """Swallow a timed-out dispatch; True when segment release deferred.
 
-        A timed-out *process* dispatch that already started cannot be
+        A timed-out process dispatch that already started cannot be
         killed: the abandoned worker may still be mid-``load`` on the
         job's shared-memory segments, so releasing them now could unlink
         pages out from under it.  Instead the release rides the pool
         future's completion callback, hopping back to the loop thread
         (``ArrayArena.release`` is not thread-safe).  A dispatch that never
-        started (cancel succeeded) — and every thread dispatch — releases
-        immediately.
+        started (cancel succeeded) releases immediately.
         """
         future.add_done_callback(_ignore_outcome)
-        if pool_future is None:
-            # Thread dispatch: nothing rode shared memory.
-            future.cancel()
-            return False
         if pool_future.cancel():
             return False  # never started: segments are safe to drop now
         if self._arena is None or not shipments:
@@ -1974,7 +1755,7 @@ class PassivityService:
             return self._scenario_ancestor_payload(job)
         if not self._incremental:
             return None
-        key = _family_key(job.system)
+        key = family_key(job.system)
         ancestor = self._family_latest.get(key)
         if ancestor is None:
             return None
@@ -2000,69 +1781,71 @@ class PassivityService:
             scenario.root_shipment = ship_systems(self._arena, [ancestor])
         return scenario.root_shipment
 
-    async def _run_batch(self, loop, jobs: List[Job]) -> None:
-        """Dispatch one micro-batch to the process pool and resolve its jobs.
+    async def _run_batch(self, jobs: List[Job]) -> None:
+        """Dispatch jobs to the process pool as one task and resolve them.
 
-        The batch's systems travel as one payload (a shared-memory shipment
-        when the arena is on); the worker returns one outcome per job plus a
-        single cache-counter delta that is merged exactly once.  A timeout
-        resolves every member (they shared one dispatch deadline — a job's
-        timeout budgets *one* job, so the dispatch waits ``len(jobs)``
-        times that budget).  A *failed* dispatch, by contrast, does not
-        fail the members: they are re-queued as singletons
-        (:meth:`_requeue_individually`) so only the actually-poison job
-        carries the error.  A broken pool additionally triggers the
-        supervision teardown.
+        Every process dispatch comes here: a lone job is a group of one, a
+        micro-batch a larger group.  The systems travel as one
+        :func:`~repro.engine.executor.run_cells` payload (a shared-memory
+        shipment when the arena is on and every member is dense); the worker
+        returns one outcome per job plus a single cache-counter delta that is
+        merged exactly once.  A timeout resolves every member (they shared
+        one dispatch deadline — a job's timeout budgets *one* job, so the
+        dispatch waits ``len(jobs)`` times that budget).  A dispatch that
+        dies is handled by :meth:`_dispatch_failed`.
         """
-        systems = [job.system for job in jobs]
-        fleet: Any = systems
         shipments: List[ArrayShipment] = []
-        transport_trace = JobTrace()
-        if self._arena is not None:
-            with use_trace(transport_trace):
-                fleet = ship_systems(self._arena, systems)
-            shipments.append(fleet)
-        cells = [(job.method, dict(job.options)) for job in jobs]
-        ancestors = [self._ancestor_payload(job) for job in jobs]
-        self._n_batches += 1
-        self._n_batched_jobs += len(jobs)
-        # Parent-side trace per member: queue wait plus the batch-shared
-        # transport spans.  Assigned before the dispatch so the timeout
-        # path still serves a (partial) trace.
-        job_traces: List[JobTrace] = []
-        for job in jobs:
-            parent_trace = JobTrace()
-            if job.started_at is not None:
-                record_span(
-                    "queue.wait",
-                    max(0.0, job.started_at - job.submitted_at),
-                    started_at=job.submitted_at,
-                    trace=parent_trace,
-                )
-            parent_trace.merge(transport_trace)
-            job.trace = parent_trace.to_jsonable()
-            job_traces.append(parent_trace)
-        budget = None if jobs[0].timeout is None else jobs[0].timeout * len(jobs)
         deferred = False
-        executor = None
+        pool: Any = None
         try:
             try:
-                executor = self._ensure_executor()
-                pool_future = executor.submit(
-                    _process_batch_cells,
-                    (fleet, cells, self._runner.tol, self._runner.registry,
-                     ancestors),
+                systems = [job.system for job in jobs]
+                fleet: Any = systems
+                transport_trace = JobTrace()
+                if self._arena is not None and not any(
+                    system.is_sparse for system in systems
+                ):
+                    with use_trace(transport_trace):
+                        fleet = ship_systems(self._arena, systems)
+                    shipments.append(fleet)
+                cells = [
+                    (position, job.method, dict(job.options), self._ancestor_payload(job))
+                    for position, job in enumerate(jobs)
+                ]
+                if len(jobs) > 1:
+                    self._n_batches += 1
+                    self._n_batched_jobs += len(jobs)
+                # Parent-side trace per member: queue wait plus the shared
+                # transport spans.  Assigned before the dispatch so the
+                # timeout path still serves a (partial) trace.
+                job_traces: List[JobTrace] = []
+                for job in jobs:
+                    parent_trace = JobTrace()
+                    if job.started_at is not None:
+                        record_span(
+                            "queue.wait",
+                            max(0.0, job.started_at - job.submitted_at),
+                            started_at=job.submitted_at,
+                            trace=parent_trace,
+                        )
+                    parent_trace.merge(transport_trace)
+                    job.trace = parent_trace.to_jsonable()
+                    job_traces.append(parent_trace)
+                budget = None if jobs[0].timeout is None else jobs[0].timeout * len(jobs)
+                # The pool future (not just its asyncio wrapper) tracks the
+                # actual worker: a timed-out dispatch releases its segments
+                # only when the worker is done with them.
+                # No cache config rides the payload: every worker runs the
+                # cache init_worker installed (unpickling a store re-reads
+                # its index, which would cost every dispatch).
+                pool_future, pool = self._pool.submit(
+                    run_cells,
+                    CellTask(fleet, cells, self._runner.tol, self._runner.registry),
                 )
                 future = asyncio.wrap_future(pool_future)
                 done, pending = await asyncio.wait({future}, timeout=budget)
-            except asyncio.CancelledError:
-                raise  # service shutdown
-            except BrokenExecutor:
-                self._handle_broken_pool(executor)
-                self._requeue_individually(jobs)
-                return
-            except Exception:  # noqa: BLE001 - keep worker alive
-                self._requeue_individually(jobs)
+            except Exception as error:  # noqa: BLE001 - keep worker alive
+                self._dispatch_failed(jobs, pool, error)
                 return
             if pending:
                 deferred = self._abandon_dispatch(future, pool_future, shipments)
@@ -2075,53 +1858,65 @@ class PassivityService:
                 return
             try:
                 outcomes, worker_delta, batch_spans = future.result()
-            except BrokenExecutor:
-                self._handle_broken_pool(executor)
-                self._requeue_individually(jobs)
+            except Exception as error:  # noqa: BLE001 - jobs must resolve
+                self._dispatch_failed(jobs, pool, error)
                 return
-            except Exception:  # noqa: BLE001 - jobs must resolve
-                # Unpicklable member, dead worker mid-batch, ...: isolate
-                # the poison by re-dispatching the members one by one.
-                self._requeue_individually(jobs)
-                return
-            if worker_delta is not None:
-                self._worker_stats.merge(worker_delta)
+            self._worker_stats.merge(worker_delta)
             self._last_heartbeat = time.time()
             # Replay the worker-side spans into the parent's histograms —
-            # batch-shared spans once, each cell's spans once (the same
+            # shared spans once, each cell's spans once (the same
             # merge-exactly-once rule as the cache-counter delta).
             batch_tree = JobTrace.from_jsonable(batch_spans)
             observe_span_tree(METRICS, batch_tree)
-            for position, (job, outcome) in enumerate(zip(jobs, outcomes)):
+            for job, job_trace, outcome in zip(jobs, job_traces, outcomes):
                 report, _seconds, error_message, cell_spans = outcome
                 cell_tree = JobTrace.from_jsonable(cell_spans)
                 observe_span_tree(METRICS, cell_tree)
-                job_traces[position].merge(batch_tree).merge(cell_tree)
-                job.trace = job_traces[position].to_jsonable()
+                job.trace = job_trace.merge(batch_tree).merge(cell_tree).to_jsonable()
                 if error_message is not None:
                     self._finish(job, JobState.FAILED, error=error_message)
                 else:
                     self._finish(job, JobState.DONE, report=report)
         finally:
             if self._arena is not None and not deferred:
+                # The dispatch is resolved (or never started): drop the
+                # segments; abandoned workers keep their mappings.
                 for shipment in shipments:
                     self._arena.release(shipment)
+
+    def _dispatch_failed(self, jobs: List[Job], pool: Any, error: Exception) -> None:
+        """Resolve the jobs of a process dispatch that returned no cells.
+
+        A broken pool is healed first.  A micro-batch's members are re-queued
+        as singletons (:meth:`_requeue_individually`), so only an actually
+        poison job ends up carrying the error.  A lone job whose pool broke
+        is retried within its budget (:meth:`_retry_or_fail`); any other
+        failure of a lone job (an unpicklable payload, ...) fails it.
+        """
+        broken = isinstance(error, BrokenExecutor)
+        if broken:
+            self._heal(pool)
+        message = f"{type(error).__name__}: {error}"
+        if len(jobs) > 1:
+            self._requeue_individually(jobs)
+        elif broken:
+            self._retry_or_fail(jobs[0], message)
+        else:
+            self._finish(jobs[0], JobState.FAILED, error=message)
 
     async def _worker(self) -> None:
         """One worker coroutine: pull jobs, execute on the pool, resolve.
 
-        Process-pool supervision lives here: a dispatch that dies with
-        :class:`~concurrent.futures.BrokenExecutor` (a SIGKILLed or crashed
-        pool worker takes the whole pool down) tears the pool down
-        (:meth:`_handle_broken_pool`) and re-queues the in-flight job
-        within its retry budget (:meth:`_retry_or_fail`) — the next
-        dispatch lazily rebuilds the pool with the same worker bootstrap.
+        In process mode every dispatch — one job, or a micro-batch drained
+        behind it — goes through :meth:`_run_batch`.  A dispatch that dies
+        with :class:`~concurrent.futures.BrokenExecutor` (a SIGKILLed or
+        crashed pool worker takes the whole pool down) heals the pool and
+        re-queues its jobs; the next dispatch rebuilds the pool with the
+        same worker bootstrap.
         """
         loop = asyncio.get_running_loop()
         while True:
             _, _, job_id = await self._queue.get()
-            shipments: List[ArrayShipment] = []
-            deferred = False
             try:
                 job = self._jobs.get(job_id)
                 if job is None or job.state is not JobState.QUEUED:
@@ -2130,15 +1925,14 @@ class PassivityService:
                 job.state = JobState.RUNNING
                 job.started_at = time.time()
                 self._journal_started(job)
-                if self._batch_eligible(job):
-                    extras = self._drain_batch(job)
-                    if extras:
-                        await self._run_batch(loop, [job] + extras)
-                        continue
-                # Parent-side trace: queue wait now, transport below, the
-                # executor-side tree merged in after the dispatch resolves.
-                # Assigned to the job before dispatch so the timeout and
-                # failure paths still serve the partial trace.
+                if self._pool is not None:
+                    extras = self._drain_batch(job) if self._batch_eligible(job) else []
+                    await self._run_batch([job] + extras)
+                    continue
+                # Parent-side trace: queue wait now, the executor-side tree
+                # merged in after the dispatch resolves.  Assigned to the job
+                # before dispatch so the timeout and failure paths still
+                # serve the partial trace.
                 parent_trace = JobTrace()
                 record_span(
                     "queue.wait",
@@ -2147,52 +1941,13 @@ class PassivityService:
                     trace=parent_trace,
                 )
                 job.trace = parent_trace.to_jsonable()
-                executor = None
-                pool_future: Optional[Any] = None
                 try:
-                    executor = self._ensure_executor()
-                    if self._executor_kind == "process":
-                        # Module-level task + picklable payload: the worker
-                        # process runs the cell through its own store-backed
-                        # cache and returns its counter delta.  With the
-                        # arena on, dense systems travel by segment name.
-                        system_payload: Any = job.system
-                        if self._arena is not None and not job.system.is_sparse:
-                            with use_trace(parent_trace):
-                                shipment = ship_systems(
-                                    self._arena, [job.system]
-                                )
-                            shipments.append(shipment)
-                            system_payload = shipment
-                            job.trace = parent_trace.to_jsonable()
-                        # submit() (not run_in_executor) keeps a handle on
-                        # the pool future, whose completion — unlike the
-                        # asyncio wrapper's — tracks the actual worker.
-                        pool_future = executor.submit(
-                            _process_cell,
-                            (
-                                system_payload,
-                                job.method,
-                                dict(job.options),
-                                self._runner.tol,
-                                self._runner.registry,
-                                self._ancestor_payload(job),
-                            ),
-                        )
-                        future = asyncio.wrap_future(pool_future)
-                    else:
-                        future = loop.run_in_executor(executor, self._execute, job)
+                    future = loop.run_in_executor(self._threads, self._execute, job)
                     done, pending = await asyncio.wait(
                         {future}, timeout=job.timeout
                     )
-                except asyncio.CancelledError:
-                    raise  # service shutdown
-                except BrokenExecutor as error:
-                    # The pool was already a corpse at dispatch: heal it and
-                    # give the job its retry.
-                    self._handle_broken_pool(executor)
-                    self._retry_or_fail(job, f"{type(error).__name__}: {error}")
-                    continue
+                    if not pending:
+                        cell_outcome, exec_trace = future.result()
                 except Exception as error:  # noqa: BLE001 - keep worker alive
                     # Scheduling-layer failure (not the method itself): the
                     # job must still resolve and the worker must survive.
@@ -2204,68 +1959,24 @@ class PassivityService:
                     continue
                 if pending:
                     # Best-effort: free the worker slot; the abandoned
-                    # dispatch cannot be killed and keeps running detached
-                    # (batch-runner semantics).  Swallow its eventual
-                    # outcome; its segments are released when it resolves.
-                    deferred = self._abandon_dispatch(future, pool_future, shipments)
+                    # thread cannot be killed and keeps running detached
+                    # (batch-runner semantics).  Swallow its outcome.
+                    future.add_done_callback(_ignore_outcome)
+                    future.cancel()
                     self._finish(
                         job,
                         JobState.TIMED_OUT,
                         error=f"timed out after {job.timeout:.3g} s",
                     )
                     continue
-                try:
-                    outcome = future.result()
-                except BrokenExecutor as error:
-                    # A pool worker died mid-job (crash, OOM kill, SIGKILL):
-                    # tear the pool down and retry the job on the rebuilt
-                    # fleet instead of hard-failing it.
-                    self._handle_broken_pool(executor)
-                    self._retry_or_fail(job, f"{type(error).__name__}: {error}")
-                    continue
-                except Exception as error:  # noqa: BLE001 - job must resolve
-                    # In process mode this also covers unpicklable payloads.
-                    self._finish(
-                        job,
-                        JobState.FAILED,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    continue
-                if self._executor_kind == "process":
-                    (
-                        report,
-                        _seconds,
-                        error_message,
-                        worker_delta,
-                        worker_spans,
-                    ) = outcome
-                    if worker_delta is not None:
-                        self._worker_stats.merge(worker_delta)
-                    self._last_heartbeat = time.time()
-                    # Replay the worker process's spans into the parent's
-                    # histograms exactly once, then graft them onto the
-                    # job's parent-side trace.
-                    worker_tree = JobTrace.from_jsonable(worker_spans)
-                    observe_span_tree(METRICS, worker_tree)
-                    parent_trace.merge(worker_tree)
+                # Spans were already observed at close (same process) —
+                # graft, don't replay.
+                job.trace = parent_trace.merge(exec_trace).to_jsonable()
+                if cell_outcome.error is not None:
+                    self._finish(job, JobState.FAILED, error=cell_outcome.error)
                 else:
-                    # Thread dispatch: spans were already observed at close
-                    # (same process) — graft, don't replay.
-                    cell_outcome, exec_trace = outcome
-                    parent_trace.merge(exec_trace)
-                    report = cell_outcome.report
-                    error_message = cell_outcome.error
-                job.trace = parent_trace.to_jsonable()
-                if error_message is not None:
-                    self._finish(job, JobState.FAILED, error=error_message)
-                else:
-                    self._finish(job, JobState.DONE, report=report)
+                    self._finish(job, JobState.DONE, report=cell_outcome.report)
             finally:
-                if self._arena is not None and not deferred:
-                    # The dispatch is resolved (or never started): drop the
-                    # segments; abandoned workers keep their mappings.
-                    for shipment in shipments:
-                        self._arena.release(shipment)
                 self._queue.task_done()
 
     def _execute(self, job: Job):
@@ -2280,7 +1991,7 @@ class PassivityService:
         """
         ancestor = job.ancestor_system
         if ancestor is None and self._incremental:
-            ancestor = self._family_latest.get(_family_key(job.system))
+            ancestor = self._family_latest.get(family_key(job.system))
         exec_trace = JobTrace()
         with use_trace(exec_trace):
             outcome = self._runner.run_cell(
@@ -2310,7 +2021,7 @@ class PassivityService:
                 # Only a cold-run system may become the family's warm-start
                 # root: an incrementally certified child holds no pencil
                 # factors, so warm-starting from it would always fall back.
-                self._family_latest[_family_key(job.system)] = job.system
+                self._family_latest[family_key(job.system)] = job.system
         if self._inflight.get(job.key) == job.job_id:
             del self._inflight[job.key]
         self._count_terminal(state)
@@ -2650,7 +2361,7 @@ class PassivityService:
                 now - self._started_at if self._started_at is not None else 0.0
             ),
             "queue_depth": self._n_queued,
-            "pool_restarts": self._n_pool_restarts,
+            "pool_restarts": self._pool_restarts,
             "last_heartbeat": heartbeat,
             "heartbeat_age_seconds": age,
             "dead_after_seconds": self._dead_after,
@@ -2745,7 +2456,7 @@ class PassivityService:
                 self._n_batched_jobs / self._n_batches if self._n_batches else 0.0
             ),
             shm_bytes=self._arena.shipped_bytes if self._arena is not None else 0,
-            pool_restarts=self._n_pool_restarts,
+            pool_restarts=self._pool_restarts,
             retried=self._n_retried,
             replayed=self._n_replayed,
             incremental_hits=cache_delta.incremental_hits,

@@ -366,3 +366,19 @@ class TestIncrementalDispatch:
             stats = service.stats()
         assert stats.incremental_hits == 0
         assert stats.incremental_fallbacks == 0
+
+
+class TestStatsShape:
+    def test_to_jsonable_keys_are_the_dataclass_fields(self):
+        # Pins the shape of HTTP /stats: one key per ServiceStats field.
+        import dataclasses
+
+        from repro.service import ServiceStats
+
+        with PassivityService(max_workers=1) as service:
+            service.submit(rlc_ladder(3).system).result(timeout=60.0)
+            payload = service.stats().to_jsonable()
+        fields = [field.name for field in dataclasses.fields(ServiceStats)]
+        assert list(payload) == fields
+        assert isinstance(payload["cache"], dict)
+        assert isinstance(payload["stages"], dict)
