@@ -14,8 +14,9 @@ are timed per workload:
 * ``shared_warm`` — a persistent cache across calls: after the first call
   every spectral intermediate is a hit and zero factorizations are performed.
 
-Alongside the wall-clock, the script counts the actual
-``scipy.linalg.qz``/``ordqz`` invocations of each configuration, and writes
+Alongside the wall-clock, the script counts the actual pencil factorizations
+of each configuration (``repro.bench.QZCounter``: ``scipy.linalg.qz`` /
+``ordqz`` and eigenvalue-only ``eigvals(A, E)`` calls), and writes
 everything to a machine-readable ``BENCH_spectral.json`` (the repo's first
 benchmark-trajectory artifact; future PRs append comparable runs).
 

@@ -27,6 +27,7 @@ from repro.linalg.subspaces import (
     column_space,
     null_space,
     numerical_rank,
+    rank_from_singular_values,
     subspace_intersection,
 )
 
@@ -48,13 +49,16 @@ def is_impulse_free(
     """SVD-coordinate test: the pair ``(E, A)`` is impulse-free iff ``A22`` is
     absent, zero-dimensional, or nonsingular.
 
-    ``e_svd`` is an already computed ``np.linalg.svd(system.e)`` to reuse."""
+    Only the block ``A22 = U2^T A V2`` of the SVD coordinates is formed
+    (``U2``, ``V2`` the trailing singular vectors of ``E``).  ``e_svd`` is an
+    already computed ``np.linalg.svd(system.e)`` to reuse."""
     tol = tol or DEFAULT_TOLERANCES
-    form = svd_coordinate_form(system, tol, e_svd=e_svd)
-    a22 = form.a22
-    size = a22.shape[0]
+    u_e, svals, vt_e = e_svd if e_svd is not None else np.linalg.svd(system.e)
+    rank = rank_from_singular_values(svals, tol)
+    size = system.order - rank
     if size == 0:
         return True
+    a22 = u_e[:, rank:].T @ system.a @ vt_e[rank:, :].T
     return numerical_rank(a22, tol) == size
 
 

@@ -341,7 +341,8 @@ class DescriptorSystem:
         With an injected :class:`~repro.linalg.pencil.SpectralContext` the
         classification comes from the cached factorization (raising
         :class:`~repro.exceptions.SingularPencilError` for a singular pencil);
-        without one a fresh QZ is computed.
+        without one only the eigenvalues are computed (LAPACK ``ggev``, the
+        QZ iteration without Schur vectors).
         """
         if context is not None:
             return context.classified_spectrum()
@@ -368,7 +369,7 @@ class DescriptorSystem:
 
         Stability is only meaningful for a regular pencil.  With an injected
         context a singular pencil reports ``False`` (matching the engine's
-        profile semantics); without one the raw QZ classification of the
+        profile semantics); without one the raw classification of the
         degenerate eigenvalue pairs is used, which can be vacuously ``True``
         — check :meth:`is_regular` first when the pencil may be singular.
         """

@@ -162,24 +162,19 @@ class SvdCoordinateForm:
 
 
 def svd_coordinate_form(
-    system: DescriptorSystem,
-    tol: Optional[Tolerances] = None,
-    e_svd: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    system: DescriptorSystem, tol: Optional[Tolerances] = None
 ) -> SvdCoordinateForm:
     """Transform a descriptor system to SVD coordinates (Eq. 7).
 
     The singular value decomposition ``E = U diag(Sigma_r, 0) V^T`` supplies
     orthogonal ``U, V``; the r.s.e. with these matrices exposes the structure
-    needed by the impulse-mode tests of Section 2.5.  ``e_svd`` is an already
-    computed ``np.linalg.svd(system.e)`` to reuse.
+    needed by the impulse-mode tests of Section 2.5.
     """
     tol = tol or DEFAULT_TOLERANCES
     n = system.order
     if n == 0:
         return SvdCoordinateForm(system, np.zeros((0, 0)), np.zeros((0, 0)), 0)
-    u_matrix, singular_values, vt_matrix = (
-        e_svd if e_svd is not None else np.linalg.svd(system.e)
-    )
+    u_matrix, singular_values, vt_matrix = np.linalg.svd(system.e)
     rank = rank_from_singular_values(singular_values, tol)
     transformed = restricted_system_equivalence(system, u_matrix, vt_matrix.T)
     return SvdCoordinateForm(

@@ -653,6 +653,9 @@ class DecompositionCache:
         stability, the finite/infinite split and the Weierstrass transform
         seeds all come from this single factorization, which the profile, the
         passivity methods and the spectral separation share through the cache.
+        The SHH test reads only regularity and stability, so it uses a context
+        that is already cached but never requests one: cold, it classifies
+        the pencil from its eigenvalues alone (no Schur vectors).
         """
         effective = tol or DEFAULT_TOLERANCES
         return self.get_or_compute(

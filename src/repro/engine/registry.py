@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.config import Tolerances
 from repro.descriptor.system import DescriptorSystem
+from repro.engine.cache import PENCIL_SPECTRUM
 from repro.exceptions import NotAdmissibleError, ReproError
 from repro.passivity.gare_test import gare_passivity_test
 from repro.passivity.lmi_test import lmi_passivity_test
@@ -235,7 +236,10 @@ def _run_shh(
             # report instead of leaking the decomposition error.
             chain_data = None
     context = options.pop("spectral_context", None)
-    if context is None:
+    # SHH reads only regularity and stability: it reuses a cached context
+    # (e.g. the auto profile's) but never pays for the ordered QZ itself.
+    cached = cache is not None and cache.contains(system, PENCIL_SPECTRUM, tol)
+    if context is None and cached:
         context = _fetch_spectral(system, tol, cache)
     return shh_passivity_test(
         system,

@@ -4,7 +4,8 @@ A descriptor system is built on the pencil ``s E - A``.  Everything the paper
 needs from the pencil level is collected here:
 
 * :func:`is_regular_pencil` — regularity (``det(s E - A)`` not identically 0),
-* :func:`generalized_eigenvalues` — the raw ``(alpha, beta)`` pairs from QZ,
+* :func:`generalized_eigenvalues` — the raw ``(alpha, beta)`` pairs from QZ
+  without Schur vectors (LAPACK ``ggev``),
 * :func:`classify_generalized_eigenvalues` — finite vs. infinite split and
   stability classification of the finite part,
 * :func:`pencil_degree` — ``deg det(s E - A)``, i.e. the number of finite
@@ -52,15 +53,16 @@ def generalized_eigenvalues(
 
     The generalized eigenvalues are ``alpha / beta`` with ``beta = 0``
     signalling an infinite eigenvalue.  The convention matches
-    ``lambda E x = A x``: pairs are computed from ``scipy.linalg.qz`` applied
-    to ``(A, E)``.
+    ``lambda E x = A x``: the pairs are the homogeneous eigenvalues of
+    ``(A, E)`` from LAPACK ``ggev``, which runs the QZ iteration without
+    accumulating Schur vectors.  Callers that need the Schur factors use
+    :func:`compute_spectral_context` instead.
     """
     e_arr, a_arr = _check_pencil(e_matrix, a_matrix)
     if e_arr.shape[0] == 0:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    aa, bb, *_ = scipy.linalg.qz(a_arr, e_arr, output="complex")
-    alpha = np.diag(aa)
-    beta = np.diag(bb)
+    with trace_span("qz.eigenvalues", order=e_arr.shape[0]):
+        alpha, beta = scipy.linalg.eigvals(a_arr, e_arr, homogeneous_eigvals=True)
     return alpha, beta
 
 
@@ -99,8 +101,9 @@ def classify_alpha_beta(
     """Classify raw ``(alpha, beta)`` pairs into a :class:`GeneralizedSpectrum`.
 
     Shared by :func:`classify_generalized_eigenvalues` (which computes the
-    pairs with a fresh QZ) and :class:`SpectralContext` (which reuses the pairs
-    of an already-computed ordered QZ).
+    pairs with an eigenvalue-only ``ggev``) and :class:`SpectralContext`
+    (which reuses the pairs of an already-computed ordered QZ).  Both come
+    from LAPACK's QZ iteration on ``(A, E)``.
     """
     tol = tol or DEFAULT_TOLERANCES
     alpha = np.asarray(alpha, dtype=complex)

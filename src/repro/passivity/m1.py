@@ -22,7 +22,11 @@ import numpy as np
 from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.descriptor.system import DescriptorSystem
 from repro.exceptions import ReductionError
-from repro.linalg.subspaces import column_space, null_space, numerical_rank
+from repro.linalg.subspaces import (
+    column_space,
+    null_space,
+    rank_from_singular_values,
+)
 
 __all__ = ["InfiniteChainData", "impulsive_chain_data", "extract_m1_via_chains"]
 
@@ -55,68 +59,49 @@ class InfiniteChainData:
     has_higher_grade: bool
 
 
-def _grade1_roots(
-    e_matrix: np.ndarray,
-    a_matrix: np.ndarray,
-    tol: Tolerances,
-) -> np.ndarray:
-    """Basis of ``{ v in Ker E : A v in Im E }`` (grade-1 vectors with a grade-2 partner)."""
-    kernel = null_space(e_matrix, tol)
-    if kernel.shape[1] == 0:
-        return kernel
-    range_e = column_space(e_matrix, tol)
-    n = e_matrix.shape[0]
-    a_scale = max(1.0, float(np.linalg.norm(a_matrix)))
-    projector_perp = np.eye(n) - range_e @ range_e.T
-    # v = kernel @ y with (P_perp A kernel) y = 0.  Rank decisions are anchored
-    # to the scale of A: rows of the product that should vanish exactly only
-    # contain round-off of that size.
-    reduced = projector_perp @ a_matrix @ kernel
-    coefficients = null_space(reduced, tol, reference_scale=a_scale)
-    if coefficients.shape[1] == 0:
-        return np.zeros((n, 0))
-    basis = kernel @ coefficients
-    return column_space(basis, tol)
-
-
-def _grade2_partners(
-    e_matrix: np.ndarray,
-    a_matrix: np.ndarray,
-    v1: np.ndarray,
-) -> np.ndarray:
-    """Particular solutions ``v2`` of ``E v2 = A v1`` (least-squares / pseudo-inverse)."""
-    if v1.shape[1] == 0:
-        return np.zeros((e_matrix.shape[0], 0))
-    rhs = a_matrix @ v1
-    v2, *_ = np.linalg.lstsq(e_matrix, rhs, rcond=None)
-    return v2
-
-
 def impulsive_chain_data(
     system: DescriptorSystem, tol: Optional[Tolerances] = None
 ) -> InfiniteChainData:
-    """Compute the grade-1/grade-2 chain structure at infinity of a descriptor system."""
+    """Compute the grade-1/grade-2 chain structure at infinity of a descriptor system.
+
+    One SVD ``E = U S V^T`` supplies every subspace the chains need:
+    ``Ker E = V2`` and ``Ker E^T = (Im E)^perp = U2`` (the trailing columns),
+    and the pseudo-inverse that yields the grade-2 partners.  A grade-1 root
+    ``v1 = V2 y`` has a partner iff ``A v1 ∈ Im E``, i.e. ``A22 y = 0`` with
+    ``A22 = U2^T A V2``; the left roots are the kernel of ``A22^T``.
+    """
     tol = tol or DEFAULT_TOLERANCES
     e_matrix, a_matrix = system.e, system.a
-    v1_right = _grade1_roots(e_matrix, a_matrix, tol)
-    v2_right = _grade2_partners(e_matrix, a_matrix, v1_right)
-    v1_left = _grade1_roots(e_matrix.T, a_matrix.T, tol)
-    v2_left = _grade2_partners(e_matrix.T, a_matrix.T, v1_left)
+    n = e_matrix.shape[0]
+    u_e, svals, vt_e = np.linalg.svd(e_matrix)
+    r = rank_from_singular_values(svals, tol)
+    ker_e, ker_et = vt_e[r:, :].T, u_e[:, r:]
+    if r == n:
+        empty = np.zeros((n, 0))
+        return InfiniteChainData(empty, empty, empty, empty, 0, False)
+
+    # Rank decisions are anchored to the scale of A: entries of the projected
+    # blocks that should vanish exactly only contain round-off of that size.
+    a_scale = max(1.0, float(np.linalg.norm(a_matrix)))
+    a22 = ker_et.T @ a_matrix @ ker_e
+    u22, svals_22, vt22 = np.linalg.svd(a22)
+    r22 = rank_from_singular_values(svals_22, tol, reference_scale=a_scale)
+    v1_right = column_space(ker_e @ vt22[r22:, :].T, tol)
+    v1_left = column_space(ker_et @ u22[:, r22:], tol)
+
+    # Grade-2 partners E v2 = A v1 (and E^T w2 = A^T w1): the minimum-norm
+    # solutions through the pseudo-inverse, with lstsq's own cut-off.
+    keep = svals > np.finfo(float).eps * n * svals[0]
+    inv_s = 1.0 / svals[keep][:, None]
+    v2_right = vt_e[keep, :].T @ (inv_s * (u_e[:, keep].T @ (a_matrix @ v1_right)))
+    v2_left = u_e[:, keep] @ (inv_s * (vt_e[keep, :] @ (a_matrix.T @ v1_left)))
 
     has_higher = False
     if v1_right.shape[1]:
         # A grade-3 chain exists iff some nonzero grade-1 root v1 = V1 y admits
         # a grade-2 partner v2 = E^+ A v1 + (Ker E) k with A v2 ∈ Im E, i.e.
-        # P_perp A (V2 y + K k) = 0 has a solution with y != 0, where P_perp
-        # projects onto the orthogonal complement of Im E.
-        range_e = column_space(e_matrix, tol)
-        n = e_matrix.shape[0]
-        a_scale = max(1.0, float(np.linalg.norm(a_matrix)))
-        projector_perp = np.eye(n) - range_e @ range_e.T
-        kernel = null_space(e_matrix, tol)
-        stacked = np.hstack(
-            [projector_perp @ a_matrix @ v2_right, projector_perp @ a_matrix @ kernel]
-        )
+        # U2^T A (V2 y + Ker E k) = 0 has a solution with y != 0.
+        stacked = np.hstack([ker_et.T @ (a_matrix @ v2_right), a22])
         continuation = null_space(stacked, tol, reference_scale=a_scale)
         if continuation.shape[1]:
             # The null-space basis is orthonormal, so the size of its y-block

@@ -25,13 +25,13 @@ Three steps are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
 
 from repro.config import DEFAULT_TOLERANCES, Tolerances
-from repro.descriptor.adjoint import PhiRealization
+from repro.descriptor.adjoint import PhiRealization, adjoint_system
 from repro.descriptor.system import DescriptorSystem
 from repro.exceptions import ReductionError, SingularPencilError
 from repro.linalg.basics import is_skew_symmetric, is_symmetric
@@ -90,18 +90,21 @@ def _phi_unobservable_directions(
     """Impulse-unobservable directions of the Phi realization (Eq. 11).
 
     These are the vectors ``z`` with ``E_phi z = 0``, ``C_phi z = 0`` and
-    ``A_phi z ∈ Im E_phi``.  A single SVD of ``E_phi`` supplies both its
-    kernel and its range; the two remaining conditions are imposed on the
-    (small) coordinate vectors within the kernel, so the whole computation
-    costs one large SVD plus work on ``dim Ker E_phi``-sized blocks.
+    ``A_phi z ∈ Im E_phi``.  Since ``E_phi = diag(E, E^T)``, one SVD
+    ``E = U S V^T`` of the order-n block supplies both its kernel
+    ``diag(V2, U2)`` and the complement of its range ``diag(U2, V2)`` (``U2``,
+    ``V2`` the trailing singular vectors); the two remaining conditions are
+    imposed on the (small) coordinate vectors within the kernel.
     """
     n = phi.order
-    u_e, svals, vt_e = np.linalg.svd(phi.e_phi)
+    half = phi.half_order
+    u_e, svals, vt_e = np.linalg.svd(phi.e_phi[:half, :half])
     rank_e = rank_from_singular_values(svals, tol)
-    ker_e = vt_e[rank_e:, :].T
-    if ker_e.shape[1] == 0:
+    if rank_e == half:
         return np.zeros((n, 0))
-    range_e_perp = u_e[:, rank_e:]
+    u2, v2 = u_e[:, rank_e:], vt_e[rank_e:, :].T
+    ker_e = scipy.linalg.block_diag(v2, u2)
+    range_e_perp = scipy.linalg.block_diag(u2, v2)
 
     # Restrict Ker C_phi to Ker E_phi: candidates = ker_e @ null(C_phi ker_e).
     c_scale = max(1.0, float(np.linalg.norm(phi.c_phi)))
@@ -133,7 +136,6 @@ def remove_impulsive_modes(
     tol = tol or DEFAULT_TOLERANCES
     z_ob = _phi_unobservable_directions(phi, tol)
     n = phi.order
-    descriptor = phi.to_descriptor()
 
     if z_ob.shape[1] == 0:
         # Nothing to remove; still rotate into the skew-symmetric/symmetric
@@ -163,7 +165,7 @@ def remove_impulsive_modes(
     e_reduced[np.abs(e_reduced) <= noise_floor] = 0.0
     reduced = DescriptorSystem(e_reduced, a_reduced, b_reduced, c_reduced, phi.d_phi)
 
-    transfer_defect = _safe_transfer_defect(descriptor, reduced, probe_point, tol)
+    transfer_defect = _safe_transfer_defect(phi, reduced, probe_point, tol)
     return ImpulsiveReduction(
         system=reduced,
         n_removed=n - z_co.shape[1],
@@ -174,12 +176,19 @@ def remove_impulsive_modes(
     )
 
 
-def _probe_response(system: DescriptorSystem, s: complex, tol: Tolerances) -> np.ndarray:
+def _probe_response(
+    system: DescriptorSystem,
+    s: complex,
+    tol: Tolerances,
+    screen_order: Optional[int] = None,
+) -> np.ndarray:
     """``G(s)`` from one LU of ``s E - A``, screened like :meth:`DescriptorSystem.evaluate`.
 
     The smallest singular value that ``evaluate`` computes with a full SVD is
     estimated here as ``||M||_1 * rcond`` from LAPACK ``gecon`` on the LU
-    factors, and compared against the same threshold.
+    factors, and compared against the same threshold.  ``screen_order``
+    replaces the system order in that threshold when ``s E - A`` is one
+    diagonal block of a larger pencil that ``evaluate`` would have screened.
     """
     n = system.order
     if n == 0:
@@ -192,7 +201,7 @@ def _probe_response(system: DescriptorSystem, s: complex, tol: Tolerances) -> np
     norm_1 = float(np.abs(shifted).sum(axis=0).max())
     rcond, _ = gecon(lu, norm_1, norm="1")
     scale = max(1.0, float(np.abs(s)), float(np.max(np.abs(system.a), initial=1.0)))
-    if norm_1 * rcond <= 100 * tol.rank_rtol * scale * n:
+    if norm_1 * rcond <= 100 * tol.rank_rtol * scale * (screen_order or n):
         raise SingularPencilError(
             f"s E - A is singular at s = {s}; the point is a pole of G(s)"
         )
@@ -200,15 +209,40 @@ def _probe_response(system: DescriptorSystem, s: complex, tol: Tolerances) -> np
     return system.d + system.c @ solution
 
 
+def _phi_probe_response(phi: PhiRealization, s: complex, tol: Tolerances) -> np.ndarray:
+    """``Phi(s) = D_phi + G(s) + G~(s)`` from two order-n LUs.
+
+    ``s E_phi - A_phi = diag(s E - A, s E^T + A^T)``, so the order-2n probe
+    splits into ``G`` and its adjoint realization.  For a block-diagonal
+    matrix ``||M||_1 * rcond`` is the smaller of the blocks' values, so
+    screening each block against the order-2n threshold refuses the same
+    probe points as the order-2n LU.
+    """
+    half = phi.half_order
+    g = DescriptorSystem(
+        phi.e_phi[:half, :half],
+        phi.a_phi[:half, :half],
+        phi.c_phi[:, half:].T,
+        phi.c_phi[:, :half],
+    )
+    return phi.d_phi + sum(
+        _probe_response(part, s, tol, screen_order=phi.order)
+        for part in (g, adjoint_system(g))
+    )
+
+
 def _safe_transfer_defect(
-    original: DescriptorSystem,
+    original: Union[DescriptorSystem, PhiRealization],
     reduced: DescriptorSystem,
     probe: complex,
     tol: Tolerances,
 ) -> float:
     """Relative transfer-function mismatch at a probe point (``nan`` if unevaluable)."""
     try:
-        value_original = _probe_response(original, probe, tol)
+        if isinstance(original, PhiRealization):
+            value_original = _phi_probe_response(original, probe, tol)
+        else:
+            value_original = _probe_response(original, probe, tol)
         value_reduced = _probe_response(reduced, probe, tol)
     except (SingularPencilError, np.linalg.LinAlgError):
         return float("nan")

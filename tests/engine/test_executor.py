@@ -81,7 +81,7 @@ class TestRunCells:
         context = DecompositionCache().spectral(system, DEFAULT_TOLERANCES)
         if shipped:
             context = ship_context(ArrayArena(enabled=False), context)
-        cells = [(0, "proposed", {}, None)]
+        cells = [(0, "weierstrass", {}, None)]
         cold, cold_stats, _ = run_cells(_task([system], cells))
         seeded, seeded_stats, _ = run_cells(_task([system], cells, {0: context}))
         assert cold_stats.factorizations_for(PENCIL_SPECTRUM) == 1
@@ -101,7 +101,7 @@ class TestRunCells:
 
     def test_installed_worker_cache_persists_across_tasks(self):
         system = _system()
-        task = _task([system], [(0, "proposed", {}, None)])
+        task = _task([system], [(0, "weierstrass", {}, None)])
         fresh = [run_cells(task)[1] for _ in range(2)]
         assert [s.factorizations_for(PENCIL_SPECTRUM) for s in fresh] == [1, 1]
         init_worker(None, None)

@@ -1,10 +1,11 @@
 """Compute-once SpectralContext: correctness, cache plumbing, QZ counting.
 
 The headline guarantee of the spectral-context refactor is pinned here with a
-monkeypatch counter around ``scipy.linalg.qz``/``scipy.linalg.ordqz``: with a
+monkeypatch counter around ``scipy.linalg.qz``/``ordqz``/``eigvals``: with a
 persistent cache, ``check_passivity(system, method="auto")`` performs at most
-**one** ordered QZ factorization per (system, tolerances) across profile,
-method and reduction, and a second call performs **zero**.
+**one** pencil factorization per (system, tolerances) across profile, method
+and reduction, and a second call performs **zero**.  A cold explicit SHH test
+computes no ordered QZ at all: its step 0 needs only the eigenvalues.
 """
 
 from __future__ import annotations
@@ -254,13 +255,49 @@ class TestSingleFactorizationGuarantee:
         cache = DecompositionCache()
         counter.reset()
         check_passivity(system, method="shh", cache=cache)
-        assert counter.total <= 1
-        ordqz_after_shh = counter.ordqz
+        # Cold SHH reads only regularity and stability: one eigenvalue-only
+        # QZ, no Schur vectors and nothing cached for the next method.
+        assert (counter.qz, counter.ordqz, counter.eig) == (0, 0, 1)
+        counter.reset()
         check_passivity(system, method="weierstrass", cache=cache)
-        # The Weierstrass route reuses the cached ordered QZ; its only
-        # additional QZ work is the Sylvester solver's small sub-block
-        # reduction, never a second full-pencil ordqz.
-        assert counter.ordqz == ordqz_after_shh
+        # The Weierstrass route computes the one full-pencil ordered QZ; its
+        # only other QZ work is the Sylvester solver's small sub-blocks.
+        assert counter.ordqz == 1
+
+
+class TestColdShhFactorizesAtOrderN:
+    """The cold SHH flow factors E at order n, never Phi's pencil at order 2n."""
+
+    ORDER = 60
+
+    @pytest.fixture()
+    def system(self):
+        return paper_benchmark_model(self.ORDER, n_impulsive_stubs=2, seed=2).system
+
+    def test_explicit_shh_skips_the_ordered_qz_and_order_2n_svds(
+        self, system, monkeypatch
+    ):
+        shapes = []
+        original_svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        with QZCounter() as counter:
+            report = check_passivity(system, "shh")
+        assert report.is_passive, report.failure_reason
+        assert (counter.qz, counter.ordqz, counter.eig) == (0, 0, 1)
+        assert shapes, "the recording wrapper saw no SVD"
+        phi_order = 2 * self.ORDER
+        assert (phi_order, phi_order) not in shapes
+
+    def test_auto_reads_the_profile_context(self, system):
+        with QZCounter() as counter:
+            report = check_passivity(system, "auto")
+        assert report.method == "shh"
+        assert (counter.ordqz, counter.eig) == (1, 0)
 
 
 class TestBatchRunnerContextSharing:

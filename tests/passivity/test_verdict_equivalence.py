@@ -2,8 +2,10 @@
 
 Each row was recorded from ``check_passivity(system, "shh")`` before the
 flow's kernels moved to LAPACK (single SVD per reduction, LU-screened
-transfer probes, ``trsyl`` Lyapunov solve, in-place PVL reflectors).  Every
-decision must match exactly; the round-off diagnostics must stay at
+transfer probes, ``trsyl`` Lyapunov solve, in-place PVL reflectors).  The
+order-200 rows and the step-0 counts were recorded before the flow moved to
+order-n factors of ``E`` and step 0 to eigenvalues without Schur vectors.
+Every decision must match exactly; the round-off diagnostics must stay at
 round-off level.
 """
 
@@ -26,41 +28,43 @@ NOT_PR = (
 )
 
 # name -> (is_passive, failure_reason, n_impulsive_directions_removed,
-#          n_nondynamic_removed, proper_part_order)
+#          n_nondynamic_removed, proper_part_order,
+#          step-0 (n_finite, n_unstable, n_imaginary))
 RECORDED = {
-    "paper-26": (True, None, 10, 14, 14),
-    "paper-60": (True, None, 10, 38, 36),
-    "paper-100": (True, None, 10, 64, 63),
-    "sm1_system": (True, None, 2, 2, 0),
-    "mixed_passive_system": (True, None, 2, 4, 1),
-    "index1_passive_system": (True, None, 0, 2, 1),
-    "nonpassive_proper_system": (False, NOT_PR, 0, 0, 1),
+    "paper-26": (True, None, 10, 14, 14, (14, 0, 0)),
+    "paper-60": (True, None, 10, 38, 36, (36, 0, 0)),
+    "paper-100": (True, None, 10, 64, 63, (63, 0, 0)),
+    "paper-200": (True, None, 10, 130, 130, (130, 0, 0)),
+    "sm1_system": (True, None, 2, 2, 0, (0, 0, 0)),
+    "mixed_passive_system": (True, None, 2, 4, 1, (1, 0, 0)),
+    "index1_passive_system": (True, None, 0, 2, 1, (1, 0, 0)),
+    "nonpassive_proper_system": (False, NOT_PR, 0, 0, 1, (1, 0, 0)),
     "s_squared_system": (
         False,
         "Phi(s) retains impulsive modes after removing the unobservable/"
         "uncontrollable ones; the impulsive part of G cannot cancel against "
         "its adjoint",
-        2, None, None,
+        2, None, None, (0, 0, 0),
     ),
     "negative_m1": (
         False,
         "the residue matrix at infinity M1 is not symmetric positive semidefinite",
-        2, 2, None,
+        2, 2, None, (0, 0, 0),
     ),
     "skew_m1": (
         False,
         "reduction failed: A22 is singular while eliminating nondynamic modes: "
         "the system still contains impulsive modes",
-        4, None, None,
+        4, None, None, (0, 0, 0),
     ),
     "unstable": (
         False,
         "the system has finite modes outside the open left half plane",
-        None, None, None,
+        None, None, None, (1, 1, 0),
     ),
-    "feedthrough": (False, NOT_PR, 6, 12, 9),
-    "negative_resistor": (False, NOT_PR, 0, 10, 8),
-    "singular": (False, "the pencil s E - A is singular", None, None, None),
+    "feedthrough": (False, NOT_PR, 6, 12, 9, (9, 0, 0)),
+    "negative_resistor": (False, NOT_PR, 0, 10, 8, (8, 0, 0)),
+    "singular": (False, "the pencil s E - A is singular", None, None, None, None),
 }
 
 FIXTURES = (
@@ -108,21 +112,30 @@ def _inline_system(name):
 
 def _assert_matches(report, expected):
     d = report.diagnostics
+    steps = {step.name: step.details for step in report.steps}
+    stability = steps.get("stability")
     actual = (
         bool(report.is_passive),
         report.failure_reason,
         d.get("n_impulsive_directions_removed"),
         d.get("n_nondynamic_removed"),
         d.get("proper_part_order"),
+        None if stability is None else tuple(
+            stability[key] for key in ("n_finite", "n_unstable", "n_imaginary")
+        ),
     )
     assert actual == expected
     for key in ("adjoint_defect", "hamiltonian_residual"):
         if key in d:
             assert abs(d[key]) <= 1e-10, (key, d[key])
+    for name in ("remove_impulsive_modes", "remove_nondynamic_modes"):
+        defect = steps.get(name, {}).get("transfer_defect", np.nan)
+        if np.isfinite(defect):
+            assert defect <= 1e-10, (name, defect)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("order", [26, 60, 100])
+@pytest.mark.parametrize("order", [26, 60, 100, 200])
 def test_paper_models_keep_their_decisions(order, seed):
     system = paper_benchmark_model(order, n_impulsive_stubs=2, seed=seed).system
     _assert_matches(check_passivity(system, "shh"), RECORDED[f"paper-{order}"])
