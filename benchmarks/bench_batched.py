@@ -1,18 +1,11 @@
-"""Batched-execution benchmark: micro-batch throughput and shm transport.
+"""Batched-execution benchmark: micro-batch throughput of the process pool.
 
-Measures the two hot-path optimizations of the process-pool engine:
-
-* **micro-batch throughput**: a fleet of small (order ≤ 100) dense systems
-  swept through :class:`~repro.engine.BatchRunner`'s process backend with
-  the ``batch_small_systems`` policy off vs. on — jobs per second for each.
-  On real parallel hardware (``cores > 1``) batching must buy at least
-  ``2x`` jobs/s: per-system dispatch overhead dominates sub-ms jobs, and
-  grouping amortizes it.
-* **payload bytes moved**: a large (order ~1k default, ~256 smoke)
-  :class:`~repro.linalg.pencil.SpectralContext` shipped to a worker as
-  pickled bytes vs. as a shared-memory :class:`~repro.engine.ArrayShipment`
-  descriptor.  With shm available the descriptor must be at least ``10x``
-  smaller than the pickled context — the payload stays in the segment.
+A fleet of small (order ≤ 100) dense systems is swept through
+:class:`~repro.engine.BatchRunner`'s process backend with the
+``batch_small_systems`` policy off vs. on — jobs per second for each.  On
+real parallel hardware (``cores > 1``) batching must buy at least ``2x``
+jobs/s: per-system dispatch overhead dominates sub-ms jobs, and grouping
+amortizes it.
 
 Everything is written to a machine-readable ``BENCH_batched.json``
 (benchmark-trajectory artifact, same conventions as ``BENCH_service.json``).
@@ -29,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import platform
 import time
 from typing import Dict, List
@@ -38,17 +30,12 @@ import numpy as np
 import scipy
 
 from repro.circuits import rlc_ladder
-from repro.config import DEFAULT_TOLERANCES
 from repro.engine.runner import BatchRunner
-from repro.engine.shm import ArrayArena, ship_context, shm_available
-from repro.linalg.pencil import compute_spectral_context
 
 SCHEMA_VERSION = 1
 
 #: Micro-batching must at least double small-job throughput (cores > 1).
 MIN_BATCH_SPEEDUP = 2.0
-#: The shm descriptor must beat pickling the context by at least this factor.
-MIN_PICKLE_BYTES_RATIO = 10.0
 
 
 def _small_fleet(mode: str) -> List:
@@ -58,7 +45,7 @@ def _small_fleet(mode: str) -> List:
 
 
 def _sweep(systems: List, batch: bool) -> Dict:
-    """One process-backend sweep; returns timing + transport telemetry."""
+    """One process-backend sweep; returns timing + batching telemetry."""
     runner = BatchRunner(
         backend="process",
         batch_small_systems=batch,
@@ -77,46 +64,13 @@ def _sweep(systems: List, batch: bool) -> Dict:
         "n_batches": outcome.n_batches,
         "n_batched_jobs": outcome.n_batched_jobs,
         "batch_occupancy": outcome.batch_occupancy,
-        "transport": outcome.transport,
-        "shm_bytes": outcome.shm_bytes,
         "workers": outcome.n_workers,
         "failures": len(failed),
     }
 
 
-def _transport_round(mode: str) -> Dict:
-    """Bytes crossing the pickle pipe: context pickled vs. shm descriptor."""
-    order = 256 if mode == "smoke" else 1000
-    rng = np.random.default_rng(2006)
-    a = rng.standard_normal((order, order)) - 2.0 * order * np.eye(order)
-    context = compute_spectral_context(np.eye(order), a, DEFAULT_TOLERANCES)
-    pickled_context_bytes = len(pickle.dumps(context.to_arrays()))
-    entry = {
-        "order": order,
-        "context_payload_bytes": int(
-            sum(v.nbytes for v in context.to_arrays().values())
-        ),
-        "pickled_context_bytes": pickled_context_bytes,
-        "shm_available": shm_available(),
-        "shm_descriptor_bytes": None,
-        "shm_payload_bytes": None,
-        "pickle_bytes_ratio": None,
-    }
-    if shm_available():
-        with ArrayArena(min_bytes=0) as arena:
-            shipment = ship_context(arena, context)
-            descriptor_bytes = len(pickle.dumps(shipment))
-            entry["shm_descriptor_bytes"] = descriptor_bytes
-            entry["shm_payload_bytes"] = shipment.nbytes
-            entry["pickle_bytes_ratio"] = (
-                pickled_context_bytes / descriptor_bytes if descriptor_bytes else None
-            )
-            arena.release(shipment)
-    return entry
-
-
 def run_benchmark(mode: str) -> Dict:
-    """Run both rounds and assemble the JSON document."""
+    """Run the unbatched and batched sweeps and assemble the JSON document."""
     systems = _small_fleet(mode)
     unbatched = _sweep(systems, batch=False)
     print(
@@ -138,23 +92,11 @@ def run_benchmark(mode: str) -> Dict:
         else None
     )
 
-    transport = _transport_round(mode)
-    if transport["pickle_bytes_ratio"] is not None:
-        print(
-            f"[transport] order-{transport['order']} context: "
-            f"{transport['pickled_context_bytes']} pickled bytes vs "
-            f"{transport['shm_descriptor_bytes']} descriptor bytes "
-            f"({transport['pickle_bytes_ratio']:.0f}x fewer on the pipe)"
-        )
-    else:
-        print("[transport] shared memory unavailable; pickle-only round")
-
     return {
-        "benchmark": "batched_transport",
+        "benchmark": "batched",
         "schema_version": SCHEMA_VERSION,
         "mode": mode,
         "throughput_target": f">= {MIN_BATCH_SPEEDUP}x jobs/s (cores > 1)",
-        "transport_target": f">= {MIN_PICKLE_BYTES_RATIO}x fewer pickled bytes",
         "batch_speedup": speedup,
         "environment": {
             "python": platform.python_version(),
@@ -164,7 +106,6 @@ def run_benchmark(mode: str) -> Dict:
             "cpu_count": os.cpu_count(),
         },
         "throughput_rounds": [unbatched, batched],
-        "transport_round": transport,
     }
 
 
@@ -182,7 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless the speedup and byte-ratio targets hold",
+        help="exit non-zero unless the speedup target holds",
     )
     args = parser.parse_args(argv)
 
@@ -214,13 +155,6 @@ def main(argv=None) -> int:
             failures.append(
                 f"micro-batching degraded throughput ({speedup}x, single core)"
             )
-        ratio = document["transport_round"]["pickle_bytes_ratio"]
-        if document["transport_round"]["shm_available"]:
-            if ratio is None or ratio < MIN_PICKLE_BYTES_RATIO:
-                failures.append(
-                    f"shm descriptor saved only {ratio}x pickled bytes "
-                    f"(target {MIN_PICKLE_BYTES_RATIO}x)"
-                )
         if failures:
             print("CHECK FAILED: " + "; ".join(failures))
             return 1

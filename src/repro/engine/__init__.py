@@ -11,10 +11,9 @@ tests:
   methods and calls,
 * :mod:`repro.engine.runner` — :class:`BatchRunner` fanning systems x methods
   over a process/thread pool with per-task timeouts and telemetry,
-* :mod:`repro.engine.shm` — zero-copy shared-memory transport
-  (:class:`ArrayArena` / :class:`ArrayShipment`) shipping spectral contexts,
-  cache entries and micro-batch inputs to process-pool workers by segment
-  name instead of pickled bytes,
+* :mod:`repro.engine.executor` — :func:`run_cells`, the one process task,
+  and the :class:`SupervisedPool` that runs it; every payload travels
+  through the pool's pickle pipe,
 * :mod:`repro.engine.api` — :func:`check_passivity`, the one-call entry point
   with ``method="auto"`` selection.
 """
@@ -57,12 +56,8 @@ from repro.engine.incremental import (
     structured_delta,
 )
 from repro.engine.runner import BatchOutcome, BatchResult, BatchRunner
-from repro.engine.shm import ArrayArena, ArrayShipment, shm_available
 
 __all__ = [
-    "ArrayArena",
-    "ArrayShipment",
-    "shm_available",
     "check_passivity",
     "select_method",
     "SPARSE_AUTO_MIN_ORDER",

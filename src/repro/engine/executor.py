@@ -16,7 +16,8 @@ callers submit it to, :class:`SupervisedPool`:
 
 This is the two-level parallelism of the Wong–Lam study: tasks fan out over
 the pool's workers, and inside a task the cache shares each intermediate
-among the task's cells.
+among the task's cells.  Every payload — systems, spectral contexts and
+warm-start ancestors — travels through the pool's own pickle pipe.
 
 A worker crash (OOM kill, segfault, SIGKILL) breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor`: every in-flight future
@@ -36,7 +37,7 @@ from repro.config import Tolerances
 from repro.engine.api import check_passivity
 from repro.engine.cache import PENCIL_SPECTRUM, CacheStats, DecompositionCache
 from repro.engine.registry import MethodRegistry
-from repro.engine.shm import ArrayShipment, load_context, load_systems
+from repro.linalg.pencil import SpectralContext
 from repro.obs.trace import JobTrace, use_trace
 from repro.passivity.result import PassivityReport
 
@@ -91,29 +92,30 @@ def _run_cell(
 class CellTask(NamedTuple):
     """The payload of one :func:`run_cells` task.
 
-    ``fleet`` is a list of systems or one
-    :class:`~repro.engine.shm.ArrayShipment` packing their dense matrices.
-    Each cell is ``(position, method, options, ancestor)``: the fleet
-    position it tests, and its warm-start hint — ``None``, ``"auto"``, a
-    system, or a shipment of one system.  ``contexts`` maps fleet positions
-    to spectral contexts (or their shipments) seeded into the cache before
-    any cell runs.  ``cache`` is the ``(maxsize, store)`` of the fresh cache
-    a worker without an installed one builds.
+    The task travels through the pool's pickle pipe, and pickle's memo sends
+    an object the task references several times (one ancestor shared by many
+    cells) once.  ``fleet`` is the list of systems the cells test.  Each cell
+    is ``(position, method, options, ancestor)``: the fleet position it
+    tests, and its warm-start hint — ``None``, ``"auto"`` or a system.
+    ``contexts`` maps fleet positions to
+    :class:`~repro.linalg.pencil.SpectralContext` bundles seeded into the
+    cache before any cell runs.  ``cache`` is the ``(maxsize, store)`` of the
+    fresh cache a worker without an installed one builds.
     """
 
-    fleet: Any
+    fleet: List[Any]
     cells: List[Tuple[int, str, Dict[str, Any], Any]]
     tol: Tolerances
     registry: Optional[MethodRegistry]
     cache: Tuple[Optional[int], Optional[Any]] = (None, None)
-    contexts: Optional[Dict[int, Any]] = None
+    contexts: Optional[Dict[int, SpectralContext]] = None
 
 
 def run_cells(task: CellTask) -> Tuple[List[CellOutcome], CacheStats, List[Dict[str, Any]]]:
     """Process task: run every cell of ``task`` through one cache.
 
     Returns one outcome per cell, in order, one :class:`CacheStats` delta for
-    the whole task and the spans the cells share (fleet and context loads).
+    the whole task and the spans recorded outside any cell (context seeding).
     One delta per task keeps the counters exact: a factorization two cells
     share is counted once, as the one computation and the hit it really is.
     Each outcome carries its own cell's spans, so a caller can give every
@@ -126,24 +128,14 @@ def run_cells(task: CellTask) -> Tuple[List[CellOutcome], CacheStats, List[Dict[
     baseline = cache.stats.snapshot()
     shared = JobTrace()
     with use_trace(shared):
-        fleet = task.fleet
-        systems = load_systems(fleet) if isinstance(fleet, ArrayShipment) else fleet
         for position, context in (task.contexts or {}).items():
-            if isinstance(context, ArrayShipment):
-                context = load_context(context)
-            cache.seed(systems[position], PENCIL_SPECTRUM, context, tol=task.tol)
-    loaded: Dict[int, Any] = {}
+            cache.seed(task.fleet[position], PENCIL_SPECTRUM, context, tol=task.tol)
     outcomes: List[CellOutcome] = []
     for position, method, options, ancestor in task.cells:
         trace = JobTrace()
         with use_trace(trace):
-            if isinstance(ancestor, ArrayShipment):
-                # One family shipment may back several cells: load it once.
-                if id(ancestor) not in loaded:
-                    loaded[id(ancestor)] = load_systems(ancestor)[0]
-                ancestor = loaded[id(ancestor)]
             report, seconds, error = _run_cell(
-                systems[position], method, task.tol, cache, task.registry,
+                task.fleet[position], method, task.tol, cache, task.registry,
                 options, ancestor=ancestor,
             )
         outcomes.append((report, seconds, error, trace.to_jsonable()))

@@ -20,11 +20,9 @@ Backends
     runners must be picklable (module-level functions) — the built-in registry
     qualifies.  When the runner's cache has a persistent store attached, the
     store is shipped along (workers re-open the same root) so worker-local
-    caches share decompositions through the L2 tier as well.  Two transport
-    optimizations apply: large array payloads (spectral contexts, dense
-    systems) travel through POSIX shared memory instead of the pickle pipe
-    when available (``transport`` knob, :mod:`repro.engine.shm`), and small
-    dense systems are micro-batched several-per-worker-cell
+    caches share decompositions through the L2 tier as well.  Every payload
+    (systems, spectral contexts) travels through the pool's pickle pipe.
+    Small dense systems are micro-batched several-per-worker-cell
     (``batch_small_systems`` knob) so dispatch overhead amortizes.  A worker
     crash rebuilds the pool and resubmits each interrupted task once.
 ``"thread"``
@@ -69,13 +67,6 @@ from repro.engine.cache import (
 from repro.engine.executor import CellTask, SupervisedPool, _run_cell, run_cells
 from repro.engine.incremental import delta_distance, family_key
 from repro.engine.registry import DEFAULT_REGISTRY, MethodRegistry, UnknownMethodError
-from repro.engine.shm import (
-    ArrayArena,
-    ArrayShipment,
-    ship_context,
-    ship_systems,
-    shm_available,
-)
 from repro.linalg.pencil import SpectralContext
 from repro.obs.metrics import METRICS, observe_span_tree
 from repro.obs.trace import JobTrace
@@ -126,17 +117,12 @@ class BatchOutcome:
     total_seconds: float
     backend: str
     n_workers: int
-    #: Array transport the process backend used: ``"shm"`` (payload bytes
-    #: actually rode shared-memory segments), ``"pickle"`` (classic
-    #: serialization — including sweeps where the arena was on but every
-    #: payload stayed inline) or ``"none"`` (thread/serial backends:
-    #: nothing crosses a process pipe).
-    transport: str = "none"
     #: Micro-batch telemetry: number of multi-system worker cells and the
     #: number of jobs that rode them (0 when the policy stayed off).
     n_batches: int = 0
     n_batched_jobs: int = 0
-    #: Bytes that traveled by shared memory instead of the call pipe.
+    #: Always 0: every payload rides the pickle pipe.  Kept because the
+    #: benchmark's traced runs still read it.
     shm_bytes: int = 0
     #: Sweep-mode warm-start telemetry: number of perturbation-family
     #: chains planned and the number of jobs riding them (0 with
@@ -254,21 +240,13 @@ class BatchRunner:
         parent only *computes* a context when that is a guaranteed win — the
         fingerprint is duplicated within the sweep (one factorization
         replaces several) or the context is already cached from an earlier
-        sweep (shipping is free); a unique cold system keeps its
+        sweep (no parent-side compute); a unique cold system keeps its
         factorization in the worker, where it runs in parallel with the
         other cells.  Systems are also skipped when they are sparse-backed
         (materializing the dense pencil would defeat the sparse backend) or
         when no requested method would consult the spectral cache (e.g. a
         pure-LMI sweep, or every spectral method refusing on its order
         limit).
-    transport:
-        Array transport of the ``"process"`` backend.  ``"auto"`` (default)
-        ships spectral contexts and micro-batch inputs through POSIX shared
-        memory when available (see :mod:`repro.engine.shm`) and falls back
-        to pickling otherwise; ``"shm"`` / ``"pickle"`` force one choice
-        (``"shm"`` still degrades to pickling when the platform has no
-        usable shared memory — forcing never breaks a sweep).  The outcome's
-        ``transport`` / ``shm_bytes`` fields report what actually happened.
     batch_small_systems:
         Micro-batch policy of the ``"process"`` backend.  Small dense
         systems (order ≤ ``small_system_order``) are grouped several-per
@@ -316,7 +294,6 @@ class BatchRunner:
         backend: str = "auto",
         tol: Optional[Tolerances] = None,
         precompute_spectral: bool = True,
-        transport: str = "auto",
         batch_small_systems: Any = "auto",
         small_system_order: int = 100,
         batch_size: Optional[int] = None,
@@ -324,8 +301,6 @@ class BatchRunner:
     ) -> None:
         if backend not in ("auto", "process", "thread", "serial"):
             raise ValueError(f"unknown backend {backend!r}")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
         if incremental not in ("off", "sweep"):
             raise ValueError(
                 f"incremental must be 'off' or 'sweep', got {incremental!r}"
@@ -342,7 +317,6 @@ class BatchRunner:
         self.backend = backend
         self.tol = tol or DEFAULT_TOLERANCES
         self.precompute_spectral = precompute_spectral
-        self.transport = transport
         self.batch_small_systems = batch_small_systems
         self.small_system_order = int(small_system_order)
         self.batch_size = batch_size
@@ -385,9 +359,9 @@ class BatchRunner:
 
         Returns ``system index -> context`` for every system where the hoist
         is a guaranteed win: some requested method will consult the context,
-        and the factorization is either already cached (shipping is free) or
-        shared by several sweep entries with the same fingerprint (one
-        parent-side factorization replaces several worker-side ones).  A
+        and the factorization is either already cached (no parent-side
+        compute) or shared by several sweep entries with the same fingerprint
+        (one parent-side factorization replaces several worker-side ones).  A
         unique cold system is left to its worker so its factorization runs in
         parallel with the other cells.  Failures are silently skipped — the
         affected worker simply computes (or gracefully refuses) on its own.
@@ -764,9 +738,8 @@ class BatchRunner:
         # relying on the worker re-importing DEFAULT_REGISTRY would drop
         # dynamically registered methods under a spawn start method.  The
         # parent-computed spectral contexts are seeded into the task's cache
-        # instead of re-factorizing the pencil.  With the shm transport, dense
-        # systems and context bundles travel as segment names, not pickled
-        # bytes (see repro.engine.shm).
+        # instead of re-factorizing the pencil.  A context shared by several
+        # positions of one task is pickled once (pickle's memo).
         #
         # Parent-side precompute counters (the hoisted factorizations) join
         # the merged worker counters so the sweep telemetry stays complete.
@@ -785,33 +758,14 @@ class BatchRunner:
                 for mi, method in enumerate(methods):
                     record(si, mi, BatchResult(si, method, **outcome))
 
-        use_shm = self.transport != "pickle" and shm_available()
-        arena = ArrayArena() if use_shm else None
-        # One shipment per distinct context object: duplicated fingerprints
-        # reuse the segment instead of re-packing it per consumer.
-        shipped_contexts: Dict[int, ArrayShipment] = {}
-
-        def context_payload(si: int) -> Any:
-            context = contexts[si]
-            if arena is None:
-                return context
-            key = id(context)
-            if key not in shipped_contexts:
-                shipped_contexts[key] = ship_context(arena, context)
-            return shipped_contexts[key]
-
         #: Collection queue of ``[group, task, future, pool, retried]``: a
         #: task interrupted by a worker crash is resubmitted once to the
-        #: rebuilt pool (shm shipments stay valid — the arena unlinks its
-        #: segments only after the sweep).
+        #: rebuilt pool.
         tasks: "deque[List[Any]]" = deque()
 
         def enqueue(group: List[int], ancestor: Optional[str]) -> None:
-            fleet: Any = [systems[si] for si in group]
-            if arena is not None and not any(system.is_sparse for system in fleet):
-                fleet = ship_systems(arena, fleet)
             task = CellTask(
-                fleet,
+                [systems[si] for si in group],
                 [
                     (position, method, method_options.get(method, {}), ancestor)
                     for position in range(len(group))
@@ -821,7 +775,7 @@ class BatchRunner:
                 self.registry,
                 (self.cache.maxsize, self.cache.store),
                 {
-                    position: context_payload(si)
+                    position: contexts[si]
                     for position, si in enumerate(group)
                     if si in contexts
                 },
@@ -874,7 +828,7 @@ class BatchRunner:
                     fail(group, error=f"{type(error).__name__}: {error}")
                     continue
                 except (PicklingError, OSError) as error:
-                    # Unpicklable payloads and transport I/O failures are
+                    # Unpicklable payloads and pipe I/O failures are
                     # deterministic — a retry cannot help; they cost the
                     # affected cells, not the whole sweep.
                     fail(group, error=f"{type(error).__name__}: {error}")
@@ -895,11 +849,6 @@ class BatchRunner:
                 observe_span_tree(METRICS, tree)
         finally:
             pool.shutdown()
-            # Unlink every segment; POSIX keeps the mappings of any
-            # still-running (abandoned) workers valid, and a worker that
-            # attaches after the unlink simply errors in its own cell.
-            if arena is not None:
-                arena.close()
 
         ordered = [results[key] for key in sorted(results)]
         return BatchOutcome(
@@ -908,14 +857,9 @@ class BatchRunner:
             total_seconds=0.0,
             backend="process",
             n_workers=n_workers,
-            # "shm" only when bytes actually rode a segment: an arena whose
-            # every payload stayed inline (below min_bytes, or after a
-            # segment-creation fallback) really ran the pickle tier.
-            transport="shm" if arena is not None and arena.shipped_bytes > 0 else "pickle",
             n_batches=len(chunks),
             n_batched_jobs=sum(len(chunk) for chunk in chunks),
             n_chains=len(chains),
             n_chained_jobs=sum(len(chain) for chain in chains),
-            shm_bytes=arena.shipped_bytes if arena is not None else 0,
             pool_restarts=pool.restarts,
         )

@@ -1,12 +1,12 @@
 """Unified observability plane: tracing, metrics and structured logging.
 
 Three small, dependency-free modules instrument the engine's five
-performance-critical layers (queue → transport → cache/incremental tier →
+performance-critical layers (queue → dispatch → cache/incremental tier →
 factorization → verdict):
 
 * :mod:`repro.obs.trace` — span-based tracer.  :func:`trace_span` wraps a
   pipeline stage; spans form per-job :class:`JobTrace` trees that ride the
-  engine's existing shm/pickle return paths out of worker processes and
+  process pool's pickle return path out of worker processes and
   surface as ``GET /jobs/<id>/trace``.
 * :mod:`repro.obs.metrics` — process-wide :class:`MetricsRegistry`
   (counters, gauges, fixed-bucket histograms with mergeable snapshots)

@@ -19,9 +19,9 @@ no-op context manager so instrumented code pays only a flag check.
 
 Cross-process propagation is by value, not by magic: a worker begins a
 trace, runs the cell, and returns ``trace.to_jsonable()`` alongside its
-``CacheStats`` delta on the existing shm/pickle return path; the parent
+``CacheStats`` delta on the pool's pickle return path; the parent
 rebuilds the tree with :meth:`JobTrace.from_jsonable` and merges it into
-the job's parent-side trace (queue wait, shipping) with
+the job's parent-side trace (queue wait) with
 :meth:`JobTrace.merge`.
 
 Spans slower than the slow-op threshold (``REPRO_SLOW_OP_SECONDS``,

@@ -74,13 +74,6 @@ def main(argv=None) -> int:
         help="LRU size budget of --store in bytes (unset: unbounded)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="array transport of --executor process: ship payloads through "
-        "POSIX shared memory when available (auto/shm) or always pickle",
-    )
-    parser.add_argument(
         "--batch-small-systems",
         choices=("auto", "on", "off"),
         default="auto",
@@ -172,7 +165,6 @@ def main(argv=None) -> int:
         executor=args.executor,
         max_queue=args.max_queue,
         store=store,
-        transport=args.transport,
         batch_small_systems=batch_policy,
         small_system_order=args.small_system_order,
         max_batch_size=args.max_batch_size,

@@ -21,7 +21,7 @@ Method     Path                    Meaning
                                    cancelled; ``500`` failed/timed out.
 ``GET``    ``/jobs/<id>/trace``    ``200`` with the job's pipeline trace
                                    (``{"job_id", "state", "spans"}`` — the
-                                   span tree of queue wait, transport and
+                                   span tree of queue wait and
                                    worker-side stages) once terminal;
                                    ``202`` with the status while pending;
                                    ``404`` unknown id.

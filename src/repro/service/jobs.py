@@ -159,7 +159,7 @@ class Job:
     #: deferred corners waiting for their family root to complete.
     held: bool = False
     #: The job's pipeline trace: the :meth:`~repro.obs.JobTrace.to_jsonable`
-    #: span forest (queue wait, transport, worker-side stages), assembled by
+    #: span forest (queue wait, worker-side stages), assembled by
     #: the dispatching worker and served by ``GET /jobs/<id>/trace``.
     trace: Optional[List[Dict[str, Any]]] = None
     done_event: threading.Event = field(default_factory=threading.Event)

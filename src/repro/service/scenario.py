@@ -12,8 +12,8 @@ citizen:
   (:func:`scenario_to_jsonable` / :func:`scenario_from_jsonable`).
 * :meth:`ScenarioSpec.expand` turns the spec into per-corner
   :class:`ScenarioCell` work items **server-side**; the service dispatches
-  them through its existing priority queue (so dedup, micro-batching,
-  shared-memory transport and the process pool all apply unchanged) with
+  them through its existing priority queue (so dedup, micro-batching and
+  the process pool all apply unchanged) with
   *incremental ancestor chaining*: the family root runs cold first, and
   every other corner warm-starts from it through the perturbation-aware
   incremental tier.
@@ -655,8 +655,6 @@ class Scenario:
     root_index: Optional[int] = None
     #: The root's completed system (the ancestor handed to chained cells).
     root_system: Optional[DescriptorSystem] = None
-    #: The root system packed once into the shm arena (process transport).
-    root_shipment: Optional[Any] = None
     n_done: int = 0
     n_failed: int = 0
     n_cancelled: int = 0

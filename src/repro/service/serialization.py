@@ -36,7 +36,6 @@ from repro.exceptions import SerializationError
 from repro.passivity.result import PassivityReport, TestStep
 
 __all__ = [
-    "looks_like_shm_payload",
     "system_to_jsonable",
     "system_from_jsonable",
     "report_to_jsonable",
@@ -107,23 +106,6 @@ def _revive(value: Any) -> Any:
     if isinstance(value, list):
         return [_revive(item) for item in value]
     return value
-
-
-def looks_like_shm_payload(payload: Any) -> bool:
-    """True when a journaled system payload is a shared-memory descriptor.
-
-    A system that travelled through the zero-copy transport may leave an
-    :class:`~repro.engine.shm.ArrayShipment`-shaped document (``segment`` +
-    ``specs``) in a journal instead of the inline wire form.  After a crash
-    the segment is gone with the arena, so replay must detect the shape and
-    fall back to the journaled wire payload (``system_wire``) instead of
-    failing the record.
-    """
-    if not isinstance(payload, dict):
-        return False
-    if payload.get("kind") == "array_shipment":
-        return True
-    return "segment" in payload and "specs" in payload and "kind" not in payload
 
 
 def _csr_to_jsonable(matrix: "scipy.sparse.csr_matrix") -> Dict[str, Any]:

@@ -80,7 +80,6 @@ from repro.engine.executor import CellTask, SupervisedPool, init_worker, run_cel
 from repro.engine.incremental import family_key
 from repro.engine.registry import MethodRegistry
 from repro.engine.runner import BatchRunner
-from repro.engine.shm import ArrayArena, ArrayShipment, ship_systems, shm_available
 from repro.exceptions import (
     JobCancelledError,
     JobFailedError,
@@ -120,7 +119,6 @@ from repro.service.serialization import (
     _revive,
     job_record_from_jsonable,
     job_record_to_jsonable,
-    looks_like_shm_payload,
     system_from_jsonable,
     system_to_jsonable,
 )
@@ -158,18 +156,13 @@ class ServiceStats:
         The execution mode, ``"thread"`` or ``"process"``.
     queue_capacity:
         The configured ``max_queue`` bound (``None`` when unbounded).
-    transport:
-        Array transport of process-mode dispatch: ``"shm"`` when payload
-        bytes have actually ridden shared-memory segments, ``"pickle"``
-        when everything rode the call pipe (including an shm-capable arena
-        whose payloads all stayed inline), ``"none"`` for the thread
-        executor.
     batches / batched_jobs / batch_occupancy:
         Micro-batch telemetry: multi-job worker dispatches, the jobs that
         rode them, and the mean jobs per dispatch (0.0 when the policy
         never engaged).
     shm_bytes:
-        Bytes shipped through shared memory instead of the pickle pipe.
+        Always 0: every process payload rides the pickle pipe.  Kept
+        because the benchmark's traced runs still read it.
     pool_restarts:
         Times the supervised process pool was torn down and rebuilt after a
         worker crash (:class:`~concurrent.futures.process.BrokenProcessPool`);
@@ -237,7 +230,6 @@ class ServiceStats:
     throughput_per_second: float
     executor: str = "thread"
     queue_capacity: Optional[int] = None
-    transport: str = "none"
     batches: int = 0
     batched_jobs: int = 0
     batch_occupancy: float = 0.0
@@ -309,14 +301,6 @@ class PassivityService:
         of every process-mode worker cache, and used to persist completed
         jobs: on construction the service rehydrates its terminal-job
         history from the store, so results survive a restart.
-    transport:
-        Array transport of process-mode dispatch.  ``"auto"`` (default)
-        ships job systems and micro-batch inputs through POSIX shared
-        memory when available (:mod:`repro.engine.shm`) and falls back to
-        pickling otherwise; ``"shm"`` / ``"pickle"`` force one choice
-        (``"shm"`` still degrades cleanly on platforms without usable
-        shared memory).  Ignored by the thread executor, which shares
-        memory by construction.
     batch_small_systems:
         Micro-batch policy of the process executor.  When on, a worker
         draining the queue groups up to ``max_batch_size`` waiting small
@@ -340,11 +324,10 @@ class PassivityService:
         submitted job-by-job certify through the perturbation-aware
         incremental tier instead of re-running the cold pipeline.  In
         thread mode the ancestor's decompositions sit in the shared runner
-        cache; in process mode the ancestor system rides the existing
-        shared-memory arena to the dispatched worker, which warm-starts
-        when its local (or store-backed) cache holds the ancestor's
-        context and falls back cold otherwise — verdicts are never weaker
-        than cold ones.  Hit/fallback counters surface in :meth:`stats`
+        cache; in process mode the ancestor system rides the dispatch's
+        payload to the worker, which warm-starts when its local (or
+        store-backed) cache holds the ancestor's context and falls back
+        cold otherwise — verdicts are never weaker than cold ones.  Hit/fallback counters surface in :meth:`stats`
         and ``GET /stats``.
     journal:
         Write-ahead job journal (see :class:`~repro.service.JobJournal`).
@@ -408,7 +391,6 @@ class PassivityService:
         executor: str = "thread",
         max_queue: Optional[int] = None,
         store: Optional[Any] = None,
-        transport: str = "auto",
         batch_small_systems: Any = "auto",
         small_system_order: int = 100,
         max_batch_size: int = 8,
@@ -432,8 +414,6 @@ class PassivityService:
             )
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be at least 1 (or None for unbounded)")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
         if batch_small_systems not in ("auto", True, False):
             raise ValueError(
                 f"batch_small_systems must be 'auto', True or False, "
@@ -484,7 +464,6 @@ class PassivityService:
         self._max_history = max_history
         self._executor_kind = executor
         self._max_queue = max_queue
-        self._transport = transport
         self._batch_policy = batch_small_systems
         self._small_system_order = int(small_system_order)
         self._max_batch_size = int(max_batch_size)
@@ -492,10 +471,6 @@ class PassivityService:
         #: family key -> most recent *completed* system: the warm-start
         #: ancestor handed to later same-family jobs (loop thread only).
         self._family_latest: Dict[Tuple[Tuple[int, ...], ...], Any] = {}
-        #: family key -> (ancestor, shipment): the ancestor's dense
-        #: matrices packed once into the shm arena and reused by every
-        #: same-family dispatch until the family's ancestor changes.
-        self._ancestor_ships: Dict[Tuple[Tuple[int, ...], ...], Tuple[Any, ArrayShipment]] = {}
         self._max_retries = int(max_retries)
         self._probe_interval = float(probe_interval)
         self._dead_after = (
@@ -503,9 +478,6 @@ class PassivityService:
             if dead_after is None
             else float(dead_after)
         )
-        #: Shared-memory arena shipping process-mode payloads (created at
-        #: startup when the transport engages; None otherwise).
-        self._arena: Optional[ArrayArena] = None
 
         self._clock: Callable[[], float] = clock if clock is not None else time.time
         self._scenario_event_history = int(scenario_event_history)
@@ -680,19 +652,7 @@ class PassivityService:
                     self._replayed_scenarios.append((job_id, spec))
                 continue
             try:
-                system_doc = record["system"]
-                if looks_like_shm_payload(system_doc):
-                    # The submission journaled a shared-memory descriptor
-                    # (segment name + array specs).  The segment died with
-                    # the previous incarnation, so the descriptor can never
-                    # revive — fall back to the wire-form copy journaled
-                    # alongside it.
-                    system_doc = record.get("system_wire")
-                    if system_doc is None:
-                        raise ValueError(
-                            "journaled shm descriptor without a wire fallback"
-                        )
-                system = system_from_jsonable(system_doc)
+                system = system_from_jsonable(record["system"])
                 method = record.get("method", "auto")
                 if method != "auto":
                     method = self._runner.registry.resolve(method).name
@@ -813,8 +773,6 @@ class PassivityService:
                 initializer=init_worker,
                 initargs=(self._store, self._runner.cache.maxsize),
             )
-            if self._transport != "pickle" and shm_available():
-                self._arena = ArrayArena()
         else:
             self._threads = ThreadPoolExecutor(
                 max_workers=self._max_workers, thread_name_prefix="repro-service"
@@ -950,10 +908,6 @@ class PassivityService:
             self._pool.shutdown()
         if self._threads is not None:
             self._threads.shutdown(wait=False, cancel_futures=True)
-        if self._arena is not None:
-            # Unlink every outstanding segment; mappings held by abandoned
-            # workers stay valid (POSIX), nothing can leak past close().
-            self._arena.close()
         if self._journal is not None:
             self._journal.close()
 
@@ -1414,7 +1368,6 @@ class PassivityService:
                         (held.priority, held.seq, held.job_id)
                     )
         if scenario.n_terminal >= scenario.n_cells:
-            self._release_scenario_shipment(scenario)
             if not scenario.state.is_terminal:
                 self._finalize_scenario(scenario, ScenarioState.DONE)
 
@@ -1443,20 +1396,6 @@ class PassivityService:
         scenario.subscribers = []
         scenario.done_event.set()
         self._remember_scenario(scenario)
-
-    def _release_scenario_shipment(self, scenario: Scenario) -> None:
-        """Drop the family root's shm shipment once no cell can touch it.
-
-        Deferred past any timed-out cell: its abandoned worker may still be
-        mid-``load`` on the segment, so the arena's ``close()`` reaps it
-        instead (POSIX keeps existing mappings valid either way).
-        """
-        if scenario.root_shipment is None or self._arena is None:
-            return
-        if scenario.n_timed_out:
-            return
-        self._arena.release(scenario.root_shipment)
-        scenario.root_shipment = None
 
     def _remember_scenario(self, scenario: Scenario) -> None:
         """Keep the terminal scenario pollable, evicting beyond the bound."""
@@ -1624,8 +1563,6 @@ class PassivityService:
                 self._n_queued -= 1
             job.held = False
             self._finish(job, JobState.CANCELLED, error="scenario cancelled")
-        if scenario.n_terminal >= scenario.n_cells:
-            self._release_scenario_shipment(scenario)
         self._finalize_scenario(scenario, ScenarioState.CANCELLED)
         return True
 
@@ -1700,189 +1637,111 @@ class PassivityService:
             self._n_queued += 1
             self._queue.put_nowait((job.priority, job.seq, job.job_id))
 
-    def _abandon_dispatch(
-        self,
-        future: "asyncio.Future",
-        pool_future: Any,
-        shipments: List[ArrayShipment],
-    ) -> bool:
-        """Swallow a timed-out dispatch; True when segment release deferred.
-
-        A timed-out process dispatch that already started cannot be
-        killed: the abandoned worker may still be mid-``load`` on the
-        job's shared-memory segments, so releasing them now could unlink
-        pages out from under it.  Instead the release rides the pool
-        future's completion callback, hopping back to the loop thread
-        (``ArrayArena.release`` is not thread-safe).  A dispatch that never
-        started (cancel succeeded) releases immediately.
-        """
-        future.add_done_callback(_ignore_outcome)
-        if pool_future.cancel():
-            return False  # never started: segments are safe to drop now
-        if self._arena is None or not shipments:
-            return False
-        arena = self._arena
-        loop = asyncio.get_running_loop()
-
-        def _release_when_done(_finished: Any) -> None:
-            # Executor-management thread: hop to the loop thread.
-            def _drop() -> None:
-                for shipment in shipments:
-                    arena.release(shipment)
-
-            try:
-                loop.call_soon_threadsafe(_drop)
-            except RuntimeError:
-                pass  # loop already closed: arena.close() unlinks everything
-
-        pool_future.add_done_callback(_release_when_done)
-        return True
-
-    def _ancestor_payload(self, job: Job) -> Any:
+    def _ancestor(self, job: Job) -> Any:
         """Warm-start hint for a process dispatch (loop thread only).
 
-        Returns the job family's latest completed cold-run system — packed
-        once into the shared-memory arena and reused by every same-family
-        dispatch until the family root changes — or ``None`` when the
+        Returns a scenario corner's explicit family root, else the job
+        family's latest completed cold-run system, or ``None`` when the
         sweep-aware mode is off or the family is new.  Whether the hint
         actually warm-starts is decided in the worker: its local (or
         store-backed) cache must hold the ancestor's decompositions, else
         the attempt is counted as a fallback and the job runs cold.
         """
         if job.ancestor_system is not None:
-            # Scenario corner: chained explicitly to its family root, which
-            # ships once per scenario and is shared by every corner.
-            return self._scenario_ancestor_payload(job)
+            return job.ancestor_system
         if not self._incremental:
             return None
-        key = family_key(job.system)
-        ancestor = self._family_latest.get(key)
-        if ancestor is None:
-            return None
-        if self._arena is None or ancestor.is_sparse:
-            return ancestor
-        entry = self._ancestor_ships.get(key)
-        if entry is None or entry[0] is not ancestor:
-            if entry is not None:
-                self._arena.release(entry[1])
-            entry = (ancestor, ship_systems(self._arena, [ancestor]))
-            self._ancestor_ships[key] = entry
-        return entry[1]
-
-    def _scenario_ancestor_payload(self, job: Job) -> Any:
-        """Ship a scenario cell's explicit root ancestor (loop thread only)."""
-        ancestor = job.ancestor_system
-        if self._arena is None or ancestor.is_sparse:
-            return ancestor
-        scenario = self._scenarios.get(job.scenario_id)
-        if scenario is None:
-            return ancestor
-        if scenario.root_shipment is None:
-            scenario.root_shipment = ship_systems(self._arena, [ancestor])
-        return scenario.root_shipment
+        return self._family_latest.get(family_key(job.system))
 
     async def _run_batch(self, jobs: List[Job]) -> None:
         """Dispatch jobs to the process pool as one task and resolve them.
 
         Every process dispatch comes here: a lone job is a group of one, a
-        micro-batch a larger group.  The systems travel as one
-        :func:`~repro.engine.executor.run_cells` payload (a shared-memory
-        shipment when the arena is on and every member is dense); the worker
+        micro-batch a larger group.  The systems travel as one pickled
+        :func:`~repro.engine.executor.run_cells` payload; the worker
         returns one outcome per job plus a single cache-counter delta that is
         merged exactly once.  A timeout resolves every member (they shared
         one dispatch deadline — a job's timeout budgets *one* job, so the
         dispatch waits ``len(jobs)`` times that budget).  A dispatch that
         dies is handled by :meth:`_dispatch_failed`.
         """
-        shipments: List[ArrayShipment] = []
-        deferred = False
         pool: Any = None
         try:
-            try:
-                systems = [job.system for job in jobs]
-                fleet: Any = systems
-                transport_trace = JobTrace()
-                if self._arena is not None and not any(
-                    system.is_sparse for system in systems
-                ):
-                    with use_trace(transport_trace):
-                        fleet = ship_systems(self._arena, systems)
-                    shipments.append(fleet)
-                cells = [
-                    (position, job.method, dict(job.options), self._ancestor_payload(job))
-                    for position, job in enumerate(jobs)
-                ]
-                if len(jobs) > 1:
-                    self._n_batches += 1
-                    self._n_batched_jobs += len(jobs)
-                # Parent-side trace per member: queue wait plus the shared
-                # transport spans.  Assigned before the dispatch so the
-                # timeout path still serves a (partial) trace.
-                job_traces: List[JobTrace] = []
-                for job in jobs:
-                    parent_trace = JobTrace()
-                    if job.started_at is not None:
-                        record_span(
-                            "queue.wait",
-                            max(0.0, job.started_at - job.submitted_at),
-                            started_at=job.submitted_at,
-                            trace=parent_trace,
-                        )
-                    parent_trace.merge(transport_trace)
-                    job.trace = parent_trace.to_jsonable()
-                    job_traces.append(parent_trace)
-                budget = None if jobs[0].timeout is None else jobs[0].timeout * len(jobs)
-                # The pool future (not just its asyncio wrapper) tracks the
-                # actual worker: a timed-out dispatch releases its segments
-                # only when the worker is done with them.
-                # No cache config rides the payload: every worker runs the
-                # cache init_worker installed (unpickling a store re-reads
-                # its index, which would cost every dispatch).
-                pool_future, pool = self._pool.submit(
-                    run_cells,
-                    CellTask(fleet, cells, self._runner.tol, self._runner.registry),
-                )
-                future = asyncio.wrap_future(pool_future)
-                done, pending = await asyncio.wait({future}, timeout=budget)
-            except Exception as error:  # noqa: BLE001 - keep worker alive
-                self._dispatch_failed(jobs, pool, error)
-                return
-            if pending:
-                deferred = self._abandon_dispatch(future, pool_future, shipments)
-                for job in jobs:
-                    self._finish(
-                        job,
-                        JobState.TIMED_OUT,
-                        error=f"timed out after {budget:.3g} s",
+            cells = [
+                (position, job.method, dict(job.options), self._ancestor(job))
+                for position, job in enumerate(jobs)
+            ]
+            if len(jobs) > 1:
+                self._n_batches += 1
+                self._n_batched_jobs += len(jobs)
+            # Parent-side trace per member: the queue wait.  Assigned
+            # before the dispatch so the timeout path still serves a
+            # (partial) trace.
+            job_traces: List[JobTrace] = []
+            for job in jobs:
+                parent_trace = JobTrace()
+                if job.started_at is not None:
+                    record_span(
+                        "queue.wait",
+                        max(0.0, job.started_at - job.submitted_at),
+                        started_at=job.submitted_at,
+                        trace=parent_trace,
                     )
-                return
-            try:
-                outcomes, worker_delta, batch_spans = future.result()
-            except Exception as error:  # noqa: BLE001 - jobs must resolve
-                self._dispatch_failed(jobs, pool, error)
-                return
-            self._worker_stats.merge(worker_delta)
-            self._last_heartbeat = time.time()
-            # Replay the worker-side spans into the parent's histograms —
-            # shared spans once, each cell's spans once (the same
-            # merge-exactly-once rule as the cache-counter delta).
-            batch_tree = JobTrace.from_jsonable(batch_spans)
-            observe_span_tree(METRICS, batch_tree)
-            for job, job_trace, outcome in zip(jobs, job_traces, outcomes):
-                report, _seconds, error_message, cell_spans = outcome
-                cell_tree = JobTrace.from_jsonable(cell_spans)
-                observe_span_tree(METRICS, cell_tree)
-                job.trace = job_trace.merge(batch_tree).merge(cell_tree).to_jsonable()
-                if error_message is not None:
-                    self._finish(job, JobState.FAILED, error=error_message)
-                else:
-                    self._finish(job, JobState.DONE, report=report)
-        finally:
-            if self._arena is not None and not deferred:
-                # The dispatch is resolved (or never started): drop the
-                # segments; abandoned workers keep their mappings.
-                for shipment in shipments:
-                    self._arena.release(shipment)
+                job.trace = parent_trace.to_jsonable()
+                job_traces.append(parent_trace)
+            budget = None if jobs[0].timeout is None else jobs[0].timeout * len(jobs)
+            # The pool future (not just its asyncio wrapper) is what a
+            # timeout cancels when the dispatch has not started yet.
+            # No cache config rides the payload: every worker runs the
+            # cache init_worker installed (unpickling a store re-reads
+            # its index, which would cost every dispatch).
+            pool_future, pool = self._pool.submit(
+                run_cells,
+                CellTask(
+                    [job.system for job in jobs],
+                    cells,
+                    self._runner.tol,
+                    self._runner.registry,
+                ),
+            )
+            future = asyncio.wrap_future(pool_future)
+            done, pending = await asyncio.wait({future}, timeout=budget)
+        except Exception as error:  # noqa: BLE001 - keep worker alive
+            self._dispatch_failed(jobs, pool, error)
+            return
+        if pending:
+            # A started dispatch cannot be killed: swallow its outcome
+            # and cancel it in case it never started.
+            future.add_done_callback(_ignore_outcome)
+            pool_future.cancel()
+            for job in jobs:
+                self._finish(
+                    job,
+                    JobState.TIMED_OUT,
+                    error=f"timed out after {budget:.3g} s",
+                )
+            return
+        try:
+            outcomes, worker_delta, batch_spans = future.result()
+        except Exception as error:  # noqa: BLE001 - jobs must resolve
+            self._dispatch_failed(jobs, pool, error)
+            return
+        self._worker_stats.merge(worker_delta)
+        self._last_heartbeat = time.time()
+        # Replay the worker-side spans into the parent's histograms —
+        # shared spans once, each cell's spans once (the same
+        # merge-exactly-once rule as the cache-counter delta).
+        batch_tree = JobTrace.from_jsonable(batch_spans)
+        observe_span_tree(METRICS, batch_tree)
+        for job, job_trace, outcome in zip(jobs, job_traces, outcomes):
+            report, _seconds, error_message, cell_spans = outcome
+            cell_tree = JobTrace.from_jsonable(cell_spans)
+            observe_span_tree(METRICS, cell_tree)
+            job.trace = job_trace.merge(batch_tree).merge(cell_tree).to_jsonable()
+            if error_message is not None:
+                self._finish(job, JobState.FAILED, error=error_message)
+            else:
+                self._finish(job, JobState.DONE, report=report)
 
     def _dispatch_failed(self, jobs: List[Job], pool: Any, error: Exception) -> None:
         """Resolve the jobs of a process dispatch that returned no cells.
@@ -2151,9 +2010,9 @@ class PassivityService:
         """Return the job's pipeline trace (``GET /jobs/<id>/trace``).
 
         The trace is the span forest the dispatching worker assembled —
-        queue wait, shared-memory transport, and the executor-side stages
-        (cache outcomes, ordered QZ, Riccati refinement) recorded *inside*
-        the worker thread or process — as a plain JSON-able dict:
+        queue wait and the executor-side stages (cache outcomes, ordered QZ,
+        Riccati refinement) recorded *inside* the worker thread or process
+        — as a plain JSON-able dict:
         ``{"job_id", "state", "spans"}`` with ``spans`` in the
         :meth:`~repro.obs.JobTrace.to_jsonable` wire shape.  ``spans`` is
         empty for jobs that resolved without dispatching (cancelled while
@@ -2262,11 +2121,6 @@ class PassivityService:
             "repro_pool_restarts",
             stats.pool_restarts,
             help="Process-pool teardown/rebuild cycles after worker crashes.",
-        )
-        gauge(
-            "repro_shm_bytes",
-            stats.shm_bytes,
-            help="Bytes shipped through shared memory instead of the pipe.",
         )
         for counter in ("hits", "misses", "factorizations", "l2_hits", "l2_misses"):
             gauge(
@@ -2443,19 +2297,11 @@ class PassivityService:
             throughput_per_second=self._n_completed / uptime if uptime > 0 else 0.0,
             executor=self._executor_kind,
             queue_capacity=self._max_queue,
-            # "shm" only when bytes actually rode a segment: an arena whose
-            # every payload stayed inline really dispatched via pickle.
-            transport=(
-                "shm"
-                if self._arena is not None and self._arena.shipped_bytes > 0
-                else ("pickle" if self._executor_kind == "process" else "none")
-            ),
             batches=self._n_batches,
             batched_jobs=self._n_batched_jobs,
             batch_occupancy=(
                 self._n_batched_jobs / self._n_batches if self._n_batches else 0.0
             ),
-            shm_bytes=self._arena.shipped_bytes if self._arena is not None else 0,
             pool_restarts=self._pool_restarts,
             retried=self._n_retried,
             replayed=self._n_replayed,

@@ -1,30 +1,16 @@
-"""Micro-batch execution and shared-memory transport of the process backend.
+"""Micro-batch execution and pickled payloads of the process backend.
 
-Verdicts must be independent of policy and transport: a batched shm sweep, a
-batched pickle sweep and a serial sweep of the same fleet agree cell for
-cell.  The telemetry (transport label, chunk counts, occupancy, shm bytes)
-and the exactness of the merged cache counters under batching are pinned
-here too.
+Verdicts must be independent of policy: a batched process sweep and a serial
+sweep of the same fleet agree cell for cell.  The telemetry (chunk counts,
+occupancy) and the exactness of the merged cache counters under batching
+are pinned here too.
 """
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.circuits import rlc_ladder
+from repro.engine import PENCIL_SPECTRUM
 from repro.engine.runner import BatchRunner
-from repro.engine.shm import SHM_PREFIX, shm_available
-
-SHM_DIR = "/dev/shm"
-
-
-def repro_segments():
-    try:
-        entries = os.listdir(SHM_DIR)
-    except OSError:
-        return []
-    return sorted(name for name in entries if name.startswith(SHM_PREFIX))
 
 
 def small_fleet(count=8, orders=(2, 3, 4)):
@@ -131,77 +117,29 @@ class TestMicroBatching:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             BatchRunner(batch_small_systems="yes")
-        with pytest.raises(ValueError):
-            BatchRunner(transport="carrier-pigeon")
 
 
 class TestTransport:
-    @pytest.mark.skipif(
-        not shm_available() or not os.path.isdir(SHM_DIR),
-        reason="POSIX shared memory not usable here",
-    )
-    def test_shm_transport_ships_batches_and_leaves_no_segments(self):
-        # Order-76 systems: big enough that a 3-job chunk clears the arena's
-        # inline threshold and actually rides a segment.
-        before = repro_segments()
+    def test_batched_sweep_of_larger_systems_matches_serial(self):
+        # Order-76 systems in 3-job chunks: every task's payload is pickled.
         systems = small_fleet(6, orders=(25,))
         runner = BatchRunner(
-            backend="process",
-            transport="shm",
-            batch_small_systems=True,
-            batch_size=3,
+            backend="process", batch_small_systems=True, batch_size=3
         )
         reference = BatchRunner(backend="serial").run(systems, methods=("gare",))
         outcome = runner.run(systems, methods=("gare",))
-        assert outcome.transport == "shm"
-        assert outcome.shm_bytes > 0
-        assert_same_verdicts(outcome, reference)
-        assert repro_segments() == before
-
-    def test_pickle_transport_forced(self):
-        systems = small_fleet(6)
-        runner = BatchRunner(
-            backend="process",
-            transport="pickle",
-            batch_small_systems=True,
-            batch_size=3,
-        )
-        outcome = runner.run(systems, methods=("gare",))
-        assert outcome.transport == "pickle"
-        assert outcome.shm_bytes == 0
-
-    def test_disable_env_degrades_shm_to_pickle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        systems = small_fleet(6)
-        runner = BatchRunner(
-            backend="process",
-            transport="shm",
-            batch_small_systems=True,
-            batch_size=3,
-        )
-        reference = BatchRunner(backend="serial").run(systems, methods=("gare",))
-        outcome = runner.run(systems, methods=("gare",))
-        assert outcome.transport == "pickle"
         assert outcome.shm_bytes == 0
         assert_same_verdicts(outcome, reference)
 
-    def test_local_backends_report_no_transport(self):
-        systems = small_fleet(2)
-        outcome = BatchRunner(backend="serial").run(systems, methods=("gare",))
-        assert outcome.transport == "none"
-        assert outcome.shm_bytes == 0
-
-    @pytest.mark.skipif(
-        not shm_available() or not os.path.isdir(SHM_DIR),
-        reason="POSIX shared memory not usable here",
-    )
-    def test_precomputed_contexts_ride_shm(self):
-        # Duplicated systems make the spectral hoist fire; with shm the
-        # context bundle must travel by segment, not down the pipe.
-        system = rlc_ladder(40).system
-        runner = BatchRunner(backend="process", transport="shm")
-        outcome = runner.run([system, system], methods=("proposed",))
-        assert outcome.transport == "shm"
-        assert outcome.shm_bytes > 0
-        verdicts = set(outcome.verdicts().values())
-        assert verdicts == {True}
+    def test_precomputed_context_rides_the_task(self):
+        # Duplicated systems make the spectral hoist fire: the parent's one
+        # factorization is pickled into both tasks, and the workers pay none.
+        system = rlc_ladder(6).system
+        reference = BatchRunner(backend="serial").run(
+            [system, system], methods=("weierstrass",)
+        )
+        outcome = BatchRunner(backend="process").run(
+            [system, system], methods=("weierstrass",)
+        )
+        assert_same_verdicts(outcome, reference)
+        assert outcome.cache_stats.factorizations_for(PENCIL_SPECTRUM) == 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 from concurrent.futures import BrokenExecutor
@@ -21,8 +22,6 @@ from repro.config import DEFAULT_TOLERANCES
 from repro.engine import PENCIL_SPECTRUM, CacheStats, DecompositionCache
 from repro.engine import executor
 from repro.engine.executor import CellTask, SupervisedPool, init_worker, run_cells
-from repro.engine.shm import ArrayArena, ship_context, ship_systems
-from repro.obs.trace import JobTrace
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method(allow_none=True) not in (None, "fork"),
@@ -51,11 +50,9 @@ def _task(fleet, cells, contexts=None):
     return CellTask(fleet, cells, DEFAULT_TOLERANCES, None, contexts=contexts)
 
 
-def _span_names(shared, outcomes):
-    trace = JobTrace.from_jsonable(shared)
-    for outcome in outcomes:
-        trace.merge(JobTrace.from_jsonable(outcome[3]))
-    return trace.span_names()
+def _pickled(task):
+    """The task as a pool worker receives it: through the pickle pipe."""
+    return pickle.loads(pickle.dumps(task))
 
 
 class TestRunCells:
@@ -75,29 +72,35 @@ class TestRunCells:
         assert stats.factorizations_for(PENCIL_SPECTRUM) == 1
         assert stats.hits >= 2
 
-    @pytest.mark.parametrize("shipped", [False, True])
-    def test_seeded_context_costs_zero_factorizations(self, shipped):
+    @pytest.mark.parametrize("pickled", [False, True])
+    def test_seeded_context_costs_zero_factorizations(self, pickled):
         system = _system()
         context = DecompositionCache().spectral(system, DEFAULT_TOLERANCES)
-        if shipped:
-            context = ship_context(ArrayArena(enabled=False), context)
         cells = [(0, "weierstrass", {}, None)]
+        task = _task([system], cells, {0: context})
+        if pickled:
+            task = _pickled(task)
         cold, cold_stats, _ = run_cells(_task([system], cells))
-        seeded, seeded_stats, _ = run_cells(_task([system], cells, {0: context}))
+        seeded, seeded_stats, _ = run_cells(task)
         assert cold_stats.factorizations_for(PENCIL_SPECTRUM) == 1
         assert seeded_stats.factorizations_for(PENCIL_SPECTRUM) == 0
         assert seeded[0][0].is_passive == cold[0][0].is_passive
 
-    def test_shared_ancestor_shipment_is_loaded_once(self):
+    def test_pickled_task_with_a_shared_ancestor_matches_unpickled(self):
         root, *corners = rlc_grid_corners(3, 3, 4, scale=2e-4, seed=0)
-        shipment = ship_systems(ArrayArena(enabled=False), [root])
         cells = [
-            (position, "gare", {}, shipment) for position in range(len(corners))
+            (position, "gare", {}, root) for position in range(len(corners))
         ]
-        outcomes, _, shared = run_cells(_task(list(corners), cells))
+        task = _task(list(corners), cells)
+        received = _pickled(task)
+        # Pickle's memo sends the one ancestor object once for all cells.
+        assert len({id(cell[3]) for cell in received.cells}) == 1
+        outcomes, _, _ = run_cells(received)
+        reference, _, _ = run_cells(task)
         assert [error for _, _, error, _ in outcomes] == [None] * len(corners)
-        # The fleet rode as a list, so the only load is the ancestor's.
-        assert _span_names(shared, outcomes).count("shm.load") == 1
+        assert [o[0].is_passive for o in outcomes] == [
+            r[0].is_passive for r in reference
+        ]
 
     def test_installed_worker_cache_persists_across_tasks(self):
         system = _system()

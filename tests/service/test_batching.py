@@ -1,31 +1,12 @@
-"""Micro-batch dispatch and shared-memory shipping in the service layer."""
+"""Micro-batch dispatch in the service layer."""
 
 import asyncio
-import os
 
 import pytest
 
 from repro.circuits import rlc_ladder
-from repro.engine.shm import SHM_PREFIX, shm_available
 from repro.service import PassivityService
 from repro.service.jobs import Job, JobState
-
-SHM_DIR = "/dev/shm"
-
-
-def repro_segments():
-    try:
-        entries = os.listdir(SHM_DIR)
-    except OSError:
-        return []
-    return sorted(name for name in entries if name.startswith(SHM_PREFIX))
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = repro_segments()
-    yield
-    assert repro_segments() == before, "service leaked shared-memory segments"
 
 
 class TestServiceMicroBatching:
@@ -46,9 +27,6 @@ class TestServiceMicroBatching:
         assert stats.batches >= 1
         assert stats.batched_jobs >= 2
         assert stats.batch_occupancy > 1.0
-        # Tiny fleets stay under the arena's inline threshold: the label
-        # must report the tier the bytes actually used, never a dry arena.
-        assert stats.transport == ("shm" if stats.shm_bytes > 0 else "pickle")
 
     def test_policy_off_never_batches(self):
         systems = [rlc_ladder(2).system for _ in range(4)]
@@ -70,25 +48,19 @@ class TestServiceMicroBatching:
         with PassivityService(max_workers=1, executor="thread") as service:
             service.submit(rlc_ladder(3).system, method="gare").result(timeout=120.0)
             stats = service.stats()
-        assert stats.transport == "none"
         assert stats.batches == 0
         assert stats.shm_bytes == 0
 
     def test_forced_pickle_transport(self):
-        with PassivityService(
-            max_workers=1, executor="process", transport="pickle"
-        ) as service:
+        with PassivityService(max_workers=1, executor="process") as service:
             report = service.submit(rlc_ladder(3).system, method="gare").result(
                 timeout=120.0
             )
             stats = service.stats()
         assert report.is_passive
-        assert stats.transport == "pickle"
         assert stats.shm_bytes == 0
 
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            PassivityService(transport="smoke-signals")
         with pytest.raises(ValueError):
             PassivityService(batch_small_systems="sometimes")
         with pytest.raises(ValueError):
@@ -97,7 +69,7 @@ class TestServiceMicroBatching:
     def test_stats_jsonable_carries_batch_fields(self):
         with PassivityService(max_workers=1) as service:
             payload = service.stats().to_jsonable()
-        for key in ("transport", "batches", "batched_jobs", "batch_occupancy", "shm_bytes"):
+        for key in ("batches", "batched_jobs", "batch_occupancy", "shm_bytes"):
             assert key in payload
 
 
@@ -171,22 +143,3 @@ class TestDrainBatchOrdering:
         assert joiner.state is JobState.RUNNING
         assert service._n_queued == 0
         assert service._queue.empty()
-
-
-class TestLargeJobTransport:
-    @pytest.mark.skipif(
-        not shm_available() or not os.path.isdir(SHM_DIR),
-        reason="POSIX shared memory not usable here",
-    )
-    def test_large_single_jobs_ship_via_shm(self):
-        # Order-121 system: above the small-system limit (no batching), big
-        # enough to clear the arena's inline threshold — the job's matrices
-        # must ride a segment, and close() must sweep everything.
-        system = rlc_ladder(40).system
-        with PassivityService(max_workers=1, executor="process") as service:
-            report = service.submit(system, method="gare").result(timeout=300.0)
-            stats = service.stats()
-        assert report.is_passive
-        assert stats.transport == "shm"
-        assert stats.shm_bytes > 0
-        assert stats.batches == 0

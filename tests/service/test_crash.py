@@ -25,11 +25,9 @@ import time
 from pathlib import Path
 
 import multiprocessing
-import numpy as np
 import pytest
 
 from repro.circuits import rlc_ladder
-from repro.descriptor import DescriptorSystem
 from repro.engine import BatchRunner, MethodRegistry, MethodSpec
 from repro.exceptions import JobFailedError
 from repro.passivity.result import PassivityReport
@@ -108,7 +106,6 @@ def _crash_registry() -> MethodRegistry:
 def _crash_service(**kwargs) -> PassivityService:
     runner = BatchRunner(registry=_crash_registry(), backend="thread")
     kwargs.setdefault("executor", "process")
-    kwargs.setdefault("transport", "pickle")
     return PassivityService(runner, **kwargs)
 
 
@@ -296,39 +293,3 @@ class TestKill9Replay:
                 terminal[record["job_id"]] = terminal.get(record["job_id"], 0) + 1
         assert set(terminal) == set(ids)
         assert all(count == 1 for count in terminal.values())
-
-
-class TestDeferredArenaRelease:
-    def test_timed_out_dispatch_defers_segment_release(self):
-        order = 128  # E and A are 128 KiB each: above the inline threshold
-        identity = np.eye(order)
-        system = DescriptorSystem(
-            identity,
-            -identity,
-            np.ones((order, 1)),
-            np.ones((1, order)),
-            np.zeros((1, 1)),
-        )
-        with _crash_service(
-            max_workers=1, transport="shm", batch_small_systems=False
-        ) as service:
-            handle = service.submit(
-                system, method="sleepy", seconds=2.0, timeout=0.3
-            )
-            with pytest.raises(JobFailedError):
-                handle.result(timeout=120.0)
-            assert handle.status().state is JobState.TIMED_OUT
-            arena = service._arena
-            if arena is None:
-                pytest.skip("shared-memory transport unavailable here")
-            # The abandoned worker still holds the shipment: releasing now
-            # would unlink the segment under a process that reads it.
-            assert arena.active_segments > 0
-            # Once the swallowed dispatch resolves, the deferred release
-            # must return the segments to the arena.
-            deadline = time.time() + 30.0
-            while time.time() < deadline:
-                if arena.active_segments == 0:
-                    break
-                time.sleep(0.1)
-            assert arena.active_segments == 0

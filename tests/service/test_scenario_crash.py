@@ -7,10 +7,8 @@ Two ISSUE pins live here:
   original scenario id, the seeded expansion regenerates the same corner
   cells, and the whole sweep completes and streams a terminal summary.
 * A journal record whose ``system`` payload is a shared-memory descriptor
-  (segment name + array specs — the segment died with the crashed arena)
-  must replay from the ``system_wire`` fallback instead of failing; a
-  record with the descriptor but no fallback is marked unreplayable
-  without blocking startup.
+  (segment name + array specs) is not a system: it is marked unreplayable
+  without blocking startup, and its neighbours replay normally.
 """
 
 from __future__ import annotations
@@ -171,27 +169,6 @@ class TestShmDescriptorFallback:
         with open(path, "w") as handle:
             for record in records:
                 handle.write(json.dumps(record) + "\n")
-
-    def test_descriptor_record_replays_from_wire_fallback(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
-        self._write_journal(
-            journal_path,
-            {
-                "event": "submitted",
-                "job_id": "job-shm-1",
-                "system": dict(self.SHM_DOC),
-                "system_wire": system_to_jsonable(rlc_ladder(3).system),
-                "method": "auto",
-                "options": {},
-                "priority": 0,
-                "timeout": None,
-                "submitted_at": time.time(),
-            },
-        )
-        with PassivityService(max_workers=1, journal=journal_path) as service:
-            report = service.result("job-shm-1", timeout=120.0)
-            assert report.is_passive
-            assert service.stats().replayed == 1
 
     def test_descriptor_record_without_fallback_is_unreplayable(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"

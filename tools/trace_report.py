@@ -5,7 +5,7 @@ The service serves each finished job's span tree as JSON
 submitted with ``"trace": true``).  This tool turns that JSON into a
 human-readable timeline: one line per span, indented by nesting depth,
 with wall/CPU milliseconds, a proportional wall-time bar, and the span's
-attributes (cache outcomes, transport byte counts, queue position)::
+attributes (cache outcomes, orders, queue position)::
 
     python tools/trace_report.py trace.json
     python tools/trace_report.py http://127.0.0.1:8123/jobs/<id>/trace
