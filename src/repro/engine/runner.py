@@ -52,7 +52,6 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
-from pickle import PicklingError
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -827,10 +826,12 @@ class BatchRunner:
                         continue
                     fail(group, error=f"{type(error).__name__}: {error}")
                     continue
-                except (PicklingError, OSError) as error:
-                    # Unpicklable payloads and pipe I/O failures are
-                    # deterministic — a retry cannot help; they cost the
-                    # affected cells, not the whole sweep.
+                except Exception as error:  # noqa: BLE001 - costs this task only
+                    # A task that returns no outcomes failed in transit: an
+                    # unpicklable payload (pickle raises PicklingError,
+                    # TypeError or AttributeError) or a pipe I/O failure.
+                    # Both are deterministic — a retry cannot help; they cost
+                    # the affected cells, not the whole sweep.
                     fail(group, error=f"{type(error).__name__}: {error}")
                     continue
                 # Exactly one stats merge and one span replay per task: the
