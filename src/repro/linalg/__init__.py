@@ -80,7 +80,11 @@ from repro.linalg.invariant_subspace import (
     hamiltonian_stable_invariant_subspace,
     stable_invariant_subspace,
 )
-from repro.linalg.lyapunov import solve_continuous_lyapunov, solve_sylvester
+from repro.linalg.lyapunov import (
+    solve_continuous_lyapunov,
+    solve_sylvester,
+    solve_triangular_sylvester,
+)
 from repro.linalg.sylvester import solve_generalized_coupled_sylvester
 from repro.linalg.riccati import solve_care, solve_positive_real_are
 from repro.linalg.pencil import (
@@ -144,6 +148,7 @@ __all__ = [
     "hamiltonian_stable_invariant_subspace",
     "solve_continuous_lyapunov",
     "solve_sylvester",
+    "solve_triangular_sylvester",
     "solve_generalized_coupled_sylvester",
     "solve_care",
     "solve_positive_real_are",

@@ -1,7 +1,8 @@
 """Elementary orthogonal transformations: Householder reflectors and Givens rotations.
 
 These are the building blocks of the Paige/Van Loan (PVL) reduction of
-skew-Hamiltonian matrices (:mod:`repro.linalg.skew_hamiltonian_schur`).  Every
+skew-Hamiltonian matrices (:mod:`repro.linalg.skew_hamiltonian_schur`), which
+applies its reflectors to the panel's accumulated transformation.  Every
 application is an in-place rank-one update (one matrix-vector product and one
 rank-one subtraction) or a row/column-pair rotation.  A reflector acting on a
 contiguous index window is applied through a slice view, so nothing is copied,

@@ -7,6 +7,11 @@ form (real quasi-triangular for real data, complex triangular otherwise),
 solve the triangular equation with one LAPACK ``?trsyl`` call, and transform
 back.  A Lyapunov equation needs only the Schur form of ``A``.  Real data
 gives a real solution.
+
+:func:`solve_triangular_sylvester` is that ``?trsyl`` kernel on its own.
+The SHH test calls it directly for Eq. 23: there ``A`` is the
+quasi-triangular block ``T11`` of the ordered Schur form of Eq. 22, so no
+second Schur form is needed.
 """
 
 from __future__ import annotations
@@ -20,21 +25,34 @@ from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.exceptions import DimensionError, ReductionError
 from repro.linalg.basics import as_square_array, schur_eigenvalues
 
-__all__ = ["solve_sylvester", "solve_continuous_lyapunov"]
+__all__ = [
+    "solve_sylvester",
+    "solve_continuous_lyapunov",
+    "solve_triangular_sylvester",
+]
 
 
-def _solve_triangular_sylvester(
+def solve_triangular_sylvester(
     t_a: np.ndarray,
     t_b: np.ndarray,
     rhs: np.ndarray,
-    transpose_b: bool,
-    tol: Tolerances,
+    transpose_b: bool = False,
+    tol: Optional[Tolerances] = None,
 ) -> np.ndarray:
     """Solve ``T_a Y + Y op(T_b) = rhs`` for Schur forms ``T_a``, ``T_b``.
 
-    Raises :class:`ReductionError` when an eigenvalue of ``A`` is within the
-    threshold of the negative of an eigenvalue of ``B``.
+    ``T_a`` and ``T_b`` must already be in Schur form: real quasi-triangular
+    (1x1 and 2x2 diagonal blocks) or complex upper triangular.  ``op`` is the
+    transpose when ``transpose_b`` is true, so ``T_a = T_b = T`` solves the
+    Lyapunov equation ``T Y + Y T^T = rhs``.  One LAPACK ``?trsyl`` call.
+
+    Raises
+    ------
+    ReductionError
+        If an eigenvalue of ``T_a`` is within the threshold of the negative
+        of an eigenvalue of ``T_b``.
     """
+    tol = tol or DEFAULT_TOLERANCES
     eig_a = schur_eigenvalues(t_a)
     eig_b = schur_eigenvalues(t_b)
     scale = max(1.0, float(np.abs(eig_a).max()), float(np.abs(eig_b).max()))
@@ -90,7 +108,7 @@ def solve_sylvester(
     t_a, u_a = scipy.linalg.schur(a_arr, output=output)
     t_b, u_b = scipy.linalg.schur(b_arr, output=output)
     rhs = u_a.conj().T @ c_arr @ u_b
-    solution = _solve_triangular_sylvester(t_a, t_b, rhs, False, tol)
+    solution = solve_triangular_sylvester(t_a, t_b, rhs, False, tol)
     return u_a @ solution @ u_b.conj().T
 
 
@@ -102,7 +120,8 @@ def solve_continuous_lyapunov(
     This is the form used in Eq. 23 of the paper to decouple the stable and
     anti-stable parts of the Hamiltonian state matrix of ``Phi(s)``.  Real
     data is solved from the one real Schur form ``A = U T U^T``
-    (``A^T = U T^T U^T``); complex data goes through :func:`solve_sylvester`.
+    (``A^T = U T^T U^T``) and :func:`solve_triangular_sylvester`; complex
+    data goes through :func:`solve_sylvester`.
     """
     tol = tol or DEFAULT_TOLERANCES
     a_arr = as_square_array(a_matrix, "A")
@@ -115,4 +134,4 @@ def solve_continuous_lyapunov(
         return np.zeros(q_arr.shape)
     t_a, u_a = scipy.linalg.schur(a_arr, output="real")
     rhs = -(u_a.T @ q_arr @ u_a)
-    return u_a @ _solve_triangular_sylvester(t_a, t_a, rhs, True, tol) @ u_a.T
+    return u_a @ solve_triangular_sylvester(t_a, t_a, rhs, True, tol) @ u_a.T

@@ -4,11 +4,15 @@ Orthogonal symplectic similarity transformations are the work-horse of the
 structure-preserving reductions in the paper: they keep Hamiltonian matrices
 Hamiltonian and skew-Hamiltonian matrices skew-Hamiltonian (Section 3, quick
 fact 3).  This module provides predicates, random generators (for tests) and
-the two elementary orthogonal symplectic transformation families used by the
-PVL reduction:
+the two elementary orthogonal symplectic transformation families that the
+PVL reduction is built from:
 
 * ``diag(P, P)`` with ``P`` a Householder reflector ("double" reflectors),
 * symplectic Givens rotations acting in the ``(k, n + k)`` plane.
+
+The appliers below act on a full ``2n x 2n`` matrix, one transformation at a
+time.  :func:`repro.linalg.pvl_decomposition` applies the same
+transformations blocked, to the stored blocks of a skew-Hamiltonian matrix.
 """
 
 from __future__ import annotations

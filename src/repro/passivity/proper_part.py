@@ -9,7 +9,8 @@ Hamiltonian, ``B``, ``C``, ``D``).  Steps:
 2. Split the Hamiltonian state matrix into its stable / anti-stable invariant
    subspaces using the orthogonal symplectic matrix built from the stable
    basis (Eq. 22).
-3. Decouple the two halves with a Lyapunov solve (Eq. 23).
+3. Decouple the two halves with a Lyapunov solve (Eq. 23) on the
+   quasi-triangular Schur block of step 2.
 4. Read off the stable proper part.  Because
    ``Phi(s) = G_sp(s) + G_sp~(s) + const``, the stable strictly-proper part of
    ``Phi`` is exactly the stable strictly-proper part ``G_sp`` of the original
@@ -27,7 +28,7 @@ from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.descriptor.system import StateSpace
 from repro.exceptions import ReductionError
 from repro.linalg.invariant_subspace import hamiltonian_stable_invariant_subspace
-from repro.linalg.lyapunov import solve_continuous_lyapunov
+from repro.linalg.lyapunov import solve_triangular_sylvester
 from repro.linalg.skew_hamiltonian_schur import shh_pencil_to_hamiltonian
 from repro.passivity.reduction import ShhRestoration
 
@@ -70,6 +71,15 @@ def extract_stable_proper_part(
     tol: Optional[Tolerances] = None,
 ) -> ProperPartExtraction:
     """Extract the stable proper part from the regular SHH realization of ``Phi``.
+
+    One ordered real Schur form ``H Z = Z T`` of the Hamiltonian state matrix
+    serves Eqs. 22 and 23 and the final check: the stable basis is ``Z``'s
+    leading block column, the Eq. 23 Lyapunov equation is solved on
+    ``Lambda = T11`` with a single ``?trsyl`` call
+    (:func:`repro.linalg.lyapunov.solve_triangular_sylvester`), and the
+    stable part's state matrix is ``T11`` itself, so its poles are read off
+    a quasi-triangular matrix.  The decoupled ``B`` and ``C`` come from
+    half-order block products with the Lyapunov solution ``Y``.
 
     Raises
     ------
@@ -114,7 +124,6 @@ def extract_stable_proper_part(
     # (X1^T X2 = X2^T X1) makes this matrix orthogonal and symplectic.
     z1 = np.block([[x1, -x2], [x2, x1]])
     a_block = z1.T @ a_std @ z1
-    lam = a_block[:half, :half]
     psi = a_block[:half, half:]
     coupling = a_block[half:, :half]
     if np.max(np.abs(coupling), initial=0.0) > 1e-6 * max(
@@ -125,27 +134,22 @@ def extract_stable_proper_part(
             "to block-triangularize the Hamiltonian state matrix"
         )
 
-    # Decouple with the Lyapunov solve of Eq. 23: Lambda Y + Y Lambda^T + Psi = 0.
-    y_solution = solve_continuous_lyapunov(lam, psi, tol)
-    corrector = np.block(
-        [[np.eye(half), y_solution], [np.zeros((half, half)), np.eye(half)]]
-    )
-    corrector_inv = np.block(
-        [[np.eye(half), -y_solution], [np.zeros((half, half)), np.eye(half)]]
-    )
-    z2 = z1 @ corrector
-    z2_inv = corrector_inv @ z1.T
-
-    a_final = z2_inv @ a_std @ z2
-    b_final = z2_inv @ b_std
-    c_final = c_std @ z2
-
-    stable_a = a_final[:half, :half]
-    stable_b = b_final[:half, :]
-    stable_c = c_final[:, :half]
-    anti_a = a_final[half:, half:]
-    anti_b = b_final[half:, :]
-    anti_c = c_final[:, half:]
+    # Decouple with the Lyapunov solve of Eq. 23: Lambda Y + Y Lambda^T + Psi = 0,
+    # with Lambda = T11 already quasi-triangular from Eq. 22 (one ?trsyl call).
+    lam = splitting.stable_block
+    y_solution = solve_triangular_sylvester(lam, lam, -psi, transpose_b=True, tol=tol)
+    # Z2 = Z1 [[I, Y], [0, I]] block-diagonalizes a_block; in half-order
+    # blocks, with [B1; B2] = Z1^T B and [C1, C2] = C Z1, the stable part is
+    # (T11, B1 - Y B2, C1) and the anti-stable part
+    # (A22 + A21 Y, B2, C1 Y + C2).
+    b_block = z1.T @ b_std
+    c_block = c_std @ z1
+    stable_a = lam
+    stable_b = b_block[:half] - y_solution @ b_block[half:]
+    stable_c = c_block[:, :half]
+    anti_a = a_block[half:, half:] + coupling @ y_solution
+    anti_b = b_block[half:]
+    anti_c = stable_c @ y_solution + c_block[:, half:]
 
     stable_part = StateSpace(
         stable_a, stable_b, stable_c, np.zeros((m, m))

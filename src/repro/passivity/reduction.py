@@ -45,6 +45,7 @@ from repro.linalg.subspaces import (
 )
 
 __all__ = [
+    "PROBE_POINT",
     "ImpulsiveReduction",
     "remove_impulsive_modes",
     "NondynamicReduction",
@@ -52,6 +53,11 @@ __all__ = [
     "ShhRestoration",
     "restore_shh_structure",
 ]
+
+#: Probe point of the transfer-function checks of both reductions.  One point
+#: lets the nondynamic step reuse the impulsive step's evaluation of the
+#: system they share.
+PROBE_POINT = 0.7 + 1.3j
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,11 @@ class ImpulsiveReduction:
         Relative mismatch of ``Phi`` evaluated before/after the reduction at a
         probe point — a numerical health indicator that should be at round-off
         level.
+    probe_response:
+        The reduced system's transfer function at the probe point, or
+        ``None`` when the point is (numerically) a pole of it.
+        :func:`remove_nondynamic_modes` takes it to skip its own LU of the
+        same matrix.
     """
 
     system: DescriptorSystem
@@ -82,6 +93,7 @@ class ImpulsiveReduction:
     right_projector: np.ndarray
     left_projector: np.ndarray
     transfer_defect: float
+    probe_response: Optional[np.ndarray] = None
 
 
 def _phi_unobservable_directions(
@@ -126,7 +138,7 @@ def _phi_unobservable_directions(
 def remove_impulsive_modes(
     phi: PhiRealization,
     tol: Optional[Tolerances] = None,
-    probe_point: complex = 0.7 + 1.3j,
+    probe_point: complex = PROBE_POINT,
 ) -> ImpulsiveReduction:
     """Remove the impulse-unobservable/uncontrollable directions of ``Phi`` (Eq. 17).
 
@@ -140,7 +152,13 @@ def remove_impulsive_modes(
     if z_ob.shape[1] == 0:
         # Nothing to remove; still rotate into the skew-symmetric/symmetric
         # coordinates (left projector J) expected by the next reduction step.
+        # With Z_co = I the projections are J^T X = -J X, a signed row swap.
         z_co = np.eye(n)
+        left = j_times(z_co)
+        e_reduced = -j_times(phi.e_phi)
+        a_reduced = -j_times(phi.a_phi)
+        b_reduced = -j_times(phi.b_phi)
+        c_reduced = phi.c_phi
     else:
         removed_right = np.hstack([z_ob, j_times(phi.a_phi @ z_ob)])
         if numerical_rank(removed_right, tol) != removed_right.shape[1]:
@@ -149,12 +167,11 @@ def remove_impulsive_modes(
                 "realization violates the structural assumptions of the test"
             )
         z_co = orth_complement(column_space(removed_right, tol), n, tol)
-    left = j_times(z_co)
-
-    e_reduced = left.T @ phi.e_phi @ z_co
-    a_reduced = left.T @ phi.a_phi @ z_co
-    b_reduced = left.T @ phi.b_phi
-    c_reduced = phi.c_phi @ z_co
+        left = j_times(z_co)
+        e_reduced = left.T @ phi.e_phi @ z_co
+        a_reduced = left.T @ phi.a_phi @ z_co
+        b_reduced = left.T @ phi.b_phi
+        c_reduced = phi.c_phi @ z_co
     # Entries of the projected E that are pure round-off relative to the
     # original E must be flushed to zero: downstream rank decisions (the
     # impulse-free check) are made relative to the largest singular value of
@@ -165,14 +182,17 @@ def remove_impulsive_modes(
     e_reduced[np.abs(e_reduced) <= noise_floor] = 0.0
     reduced = DescriptorSystem(e_reduced, a_reduced, b_reduced, c_reduced, phi.d_phi)
 
-    transfer_defect = _safe_transfer_defect(phi, reduced, probe_point, tol)
+    reduced_value = _safe_probe(reduced, probe_point, tol)
     return ImpulsiveReduction(
         system=reduced,
         n_removed=n - z_co.shape[1],
         unobservable_basis=z_ob,
         right_projector=z_co,
         left_projector=left,
-        transfer_defect=transfer_defect,
+        transfer_defect=_transfer_defect(
+            _safe_probe(phi, probe_point, tol), reduced_value
+        ),
+        probe_response=reduced_value,
     )
 
 
@@ -231,6 +251,28 @@ def _phi_probe_response(phi: PhiRealization, s: complex, tol: Tolerances) -> np.
     )
 
 
+def _safe_probe(
+    system: Union[DescriptorSystem, PhiRealization], probe: complex, tol: Tolerances
+) -> Optional[np.ndarray]:
+    """Transfer function at a probe point, ``None`` when the point is a pole."""
+    try:
+        if isinstance(system, PhiRealization):
+            return _phi_probe_response(system, probe, tol)
+        return _probe_response(system, probe, tol)
+    except (SingularPencilError, np.linalg.LinAlgError):
+        return None
+
+
+def _transfer_defect(
+    value_original: Optional[np.ndarray], value_reduced: Optional[np.ndarray]
+) -> float:
+    """Relative mismatch of two probe values (``nan`` if either is unevaluable)."""
+    if value_original is None or value_reduced is None:
+        return float("nan")
+    scale = max(1.0, float(np.max(np.abs(value_original))))
+    return float(np.max(np.abs(value_original - value_reduced))) / scale
+
+
 def _safe_transfer_defect(
     original: Union[DescriptorSystem, PhiRealization],
     reduced: DescriptorSystem,
@@ -238,16 +280,7 @@ def _safe_transfer_defect(
     tol: Tolerances,
 ) -> float:
     """Relative transfer-function mismatch at a probe point (``nan`` if unevaluable)."""
-    try:
-        if isinstance(original, PhiRealization):
-            value_original = _phi_probe_response(original, probe, tol)
-        else:
-            value_original = _probe_response(original, probe, tol)
-        value_reduced = _probe_response(reduced, probe, tol)
-    except (SingularPencilError, np.linalg.LinAlgError):
-        return float("nan")
-    scale = max(1.0, float(np.max(np.abs(value_original))))
-    return float(np.max(np.abs(value_original - value_reduced))) / scale
+    return _transfer_defect(_safe_probe(original, probe, tol), _safe_probe(reduced, probe, tol))
 
 
 @dataclass(frozen=True)
@@ -272,8 +305,9 @@ class NondynamicReduction:
 def remove_nondynamic_modes(
     system: DescriptorSystem,
     tol: Optional[Tolerances] = None,
-    probe_point: complex = 0.9 + 0.7j,
+    probe_point: complex = PROBE_POINT,
     e_svd: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    probe_response: Optional[np.ndarray] = None,
 ) -> NondynamicReduction:
     """Eliminate the nondynamic modes of a skew-symmetric/symmetric pencil.
 
@@ -286,6 +320,12 @@ def remove_nondynamic_modes(
     ``U``) and ``U2`` (trailing rows of ``V^T``; ``Ker E = (Im E)^perp`` for a
     skew-symmetric ``E``).  ``e_svd`` passes in that factorization when the
     caller already holds it (the impulse-free check factors the same ``E``).
+
+    The probe point defaults to the one of :func:`remove_impulsive_modes`, so
+    the input's transfer function there is the impulsive step's
+    :attr:`ImpulsiveReduction.probe_response`.  ``probe_response`` passes it
+    in, the same way as ``e_svd``, and saves the LU of ``s E - A`` at the
+    input's order; it must have been evaluated at ``probe_point``.
 
     Raises
     ------
@@ -328,7 +368,12 @@ def remove_nondynamic_modes(
     d_new = system.d - c2 @ a22_inv_b2
     reduced = DescriptorSystem(e_new, a_new, b_new, c_new, d_new)
 
-    transfer_defect = _safe_transfer_defect(system, reduced, probe_point, tol)
+    if probe_response is None:
+        transfer_defect = _safe_transfer_defect(system, reduced, probe_point, tol)
+    else:
+        transfer_defect = _transfer_defect(
+            probe_response, _safe_probe(reduced, probe_point, tol)
+        )
     return NondynamicReduction(
         system=reduced, n_removed=n - r, transfer_defect=transfer_defect
     )

@@ -200,7 +200,11 @@ class ShhPassivityTest:
             return
 
         # Step 4: remove nondynamic modes --------------------------------------
-        nondynamic = remove_nondynamic_modes(reduced, tol, e_svd=e_svd)
+        # Both reductions probe the same point, so step 2's evaluation of the
+        # reduced system is reused here.
+        nondynamic = remove_nondynamic_modes(
+            reduced, tol, e_svd=e_svd, probe_response=impulsive.probe_response
+        )
         report.diagnostics["n_nondynamic_removed"] = nondynamic.n_removed
         counts_equal = impulsive.n_removed == nondynamic.n_removed
         report.add_step(
@@ -338,7 +342,9 @@ class ShhPassivityTest:
         tol = self.tol
         phi = build_phi_realization(system, tol)
         impulsive = remove_impulsive_modes(phi, tol)
-        nondynamic = remove_nondynamic_modes(impulsive.system, tol)
+        nondynamic = remove_nondynamic_modes(
+            impulsive.system, tol, probe_response=impulsive.probe_response
+        )
         restoration = restore_shh_structure(nondynamic.system, tol)
         extraction = extract_stable_proper_part(restoration, tol)
         from repro.descriptor.markov import zeroth_markov_parameter

@@ -5,16 +5,20 @@ import pytest
 import scipy.linalg
 
 from repro.exceptions import ReductionError, StructureError
+from repro.linalg.elementary import givens_rotation, householder_vector
 from repro.linalg.hamiltonian import (
     is_hamiltonian,
+    make_skew_hamiltonian,
     random_hamiltonian,
     random_skew_hamiltonian,
+    symplectic_identity,
 )
 from repro.linalg.skew_hamiltonian_schur import (
+    PVL_BLOCK,
     pvl_decomposition,
     shh_pencil_to_hamiltonian,
 )
-from repro.linalg.symplectic import is_orthogonal_symplectic
+from repro.linalg.symplectic import is_orthogonal_symplectic, random_orthogonal_symplectic
 
 
 class TestPvlDecomposition:
@@ -55,6 +59,116 @@ class TestPvlDecomposition:
         u, t = pvl_decomposition(w)
         assert is_orthogonal_symplectic(u)
         np.testing.assert_allclose(t[3:, :3], 0.0, atol=1e-12)
+
+
+def _assert_pvl_form(w, u, t, atol=1e-13):
+    """Orthogonal symplectic ``U`` with ``U^T W U = T`` in exact PVL form."""
+    half = w.shape[0] // 2
+    eye, j = np.eye(2 * half), symplectic_identity(half)
+    assert np.max(np.abs(u.T @ u - eye)) <= atol
+    assert np.max(np.abs(u.T @ j @ u - j)) <= atol
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.max(np.abs(u.T @ w @ u - t)) <= 1e-12 * scale * max(1, half) ** 0.5
+    assert not np.any(t[half:, :half])
+    assert not np.any(np.tril(t[:half, :half], k=-2))
+    np.testing.assert_array_equal(t[:half, half:], -t[:half, half:].T)
+    np.testing.assert_array_equal(t[half:, half:], t[:half, :half].T)
+
+
+def _assert_same_spectrum(first, second, atol):
+    """Every eigenvalue of one list lies within ``atol`` of one of the other."""
+    distance = np.abs(first[:, None] - second[None, :])
+    assert np.max(np.min(distance, axis=1)) <= atol
+    assert np.max(np.min(distance, axis=0)) <= atol
+
+
+class TestBlockedPvl:
+    """The blocked PVL across panel boundaries and on degenerate input."""
+
+    @pytest.mark.parametrize(
+        "half",
+        [1, 2, PVL_BLOCK - 1, PVL_BLOCK, PVL_BLOCK + 1, 2 * PVL_BLOCK + 3, 130],
+    )
+    def test_pvl_form_across_panel_boundaries(self, half, rng):
+        w = random_skew_hamiltonian(half, rng)
+        u, t = pvl_decomposition(w)
+        _assert_pvl_form(w, u, t)
+        # Same spectrum: W's eigenvalues are W11's, each counted twice.
+        _assert_same_spectrum(
+            np.linalg.eigvals(w),
+            np.linalg.eigvals(t[:half, :half]),
+            atol=1e-8 * max(1.0, float(np.max(np.abs(w)))),
+        )
+
+    def test_first_column_of_u_is_e1(self, rng):
+        # Every transformation acts on indices >= 1 of each half.
+        u, _ = pvl_decomposition(random_skew_hamiltonian(PVL_BLOCK + 5, rng))
+        np.testing.assert_array_equal(u[:, 0], np.eye(u.shape[0])[:, 0])
+
+    @pytest.mark.parametrize("split", [1, PVL_BLOCK + 2])
+    def test_zero_columns_take_the_trivial_reflector_paths(self, split, rng, monkeypatch):
+        # W is block diagonal on the index sets [0, split) and [split, n) of
+        # each half, so sweep split-1 meets zero columns: both reflectors
+        # have beta = 0 and the Givens rotation has s = 0.
+        import repro.linalg.skew_hamiltonian_schur as pvl_module
+
+        half = split + 6
+        blocks = [random_skew_hamiltonian(size, rng) for size in (split, half - split)]
+        w = np.zeros((2 * half, 2 * half))
+        for offset, size, block in zip((0, split), (split, half - split), blocks):
+            index = np.r_[offset : offset + size, half + offset : half + offset + size]
+            w[np.ix_(index, index)] = block
+        betas, sines = [], []
+
+        def recording_householder(x):
+            v, beta = householder_vector(x)
+            betas.append(beta)
+            return v, beta
+
+        def recording_givens(a, b):
+            c, s = givens_rotation(a, b)
+            sines.append(s)
+            return c, s
+
+        monkeypatch.setattr(pvl_module, "householder_vector", recording_householder)
+        monkeypatch.setattr(pvl_module, "givens_rotation", recording_givens)
+        u, t = pvl_decomposition(w)
+        _assert_pvl_form(w, u, t)
+        assert sines[split - 1] == 0.0
+        assert 0.0 in betas
+        _assert_same_spectrum(
+            np.linalg.eigvals(w), np.linalg.eigvals(t[:half, :half]), atol=1e-8
+        )
+
+    def test_zero_matrix(self):
+        u, t = pvl_decomposition(np.zeros((2 * (PVL_BLOCK + 1), 2 * (PVL_BLOCK + 1))))
+        np.testing.assert_array_equal(u, np.eye(u.shape[0]))
+        np.testing.assert_array_equal(t, 0.0)
+
+    @pytest.mark.parametrize("half", [4, PVL_BLOCK + 3])
+    def test_input_already_in_pvl_form_is_kept(self, half, rng):
+        hessenberg = np.triu(rng.standard_normal((half, half)), k=-1)
+        skew = rng.standard_normal((half, half))
+        w = make_skew_hamiltonian(hessenberg, skew - skew.T, np.zeros((half, half)))
+        u, t = pvl_decomposition(w)
+        _assert_pvl_form(w, u, t)
+        # Only the signs of the sub-diagonal can change.
+        signs = np.abs(np.diag(u)[:half])
+        np.testing.assert_allclose(signs, 1.0, atol=1e-13)
+        np.testing.assert_allclose(np.abs(t), np.abs(w), atol=1e-12)
+
+    def test_recovers_a_known_spectrum(self, rng):
+        # W = Q diag(D, D) Q^T with Q orthogonal symplectic: W11 must have
+        # exactly the eigenvalues D.
+        half = PVL_BLOCK + 7
+        spectrum = np.linspace(-3.0, 2.0, half)
+        q = random_orthogonal_symplectic(half, rng)
+        w = q @ np.diag(np.concatenate([spectrum, spectrum])) @ q.T
+        u, t = pvl_decomposition(w, check_structure=False)
+        _assert_pvl_form(w, u, t, atol=1e-12)
+        np.testing.assert_allclose(
+            np.sort(np.linalg.eigvals(t[:half, :half]).real), spectrum, atol=1e-10
+        )
 
 
 class TestShhPencilToHamiltonian:

@@ -7,13 +7,18 @@ from repro.config import DEFAULT_TOLERANCES
 from repro.descriptor import DescriptorSystem, build_phi_realization, count_modes
 from repro.exceptions import ReductionError, SingularPencilError
 from repro.linalg.basics import is_skew_symmetric, is_symmetric
-from repro.linalg.hamiltonian import is_hamiltonian, is_skew_hamiltonian
+from repro.circuits import rlc_ladder
+from repro.linalg.hamiltonian import (
+    is_hamiltonian,
+    is_skew_hamiltonian,
+    symplectic_identity,
+)
 from repro.passivity import (
     remove_impulsive_modes,
     remove_nondynamic_modes,
     restore_shh_structure,
 )
-from repro.passivity.reduction import _safe_transfer_defect
+from repro.passivity.reduction import PROBE_POINT, _safe_transfer_defect
 
 
 class TestImpulsiveRemoval:
@@ -66,6 +71,39 @@ class TestImpulsiveRemoval:
         assert is_skew_symmetric(reduction.system.e)
         assert is_symmetric(reduction.system.a)
 
+    def test_identity_free_projection_equals_the_dense_products(self):
+        # With nothing to remove, Z_co = I and the left projector is J: the
+        # signed row swaps must give the dense products J^T X I exactly.
+        phi = build_phi_realization(rlc_ladder(12).system)
+        reduction = remove_impulsive_modes(phi)
+        assert reduction.n_removed == 0
+        z_co = np.eye(phi.order)
+        left = symplectic_identity(phi.half_order) @ z_co
+        e_dense = left.T @ phi.e_phi @ z_co
+        noise_floor = 100 * np.finfo(float).eps * max(1.0, np.linalg.norm(phi.e_phi))
+        e_dense[np.abs(e_dense) <= noise_floor] = 0.0
+        reduced = reduction.system
+        assert np.array_equal(reduced.e, e_dense)
+        assert np.array_equal(reduced.a, left.T @ phi.a_phi @ z_co)
+        assert np.array_equal(reduced.b, left.T @ phi.b_phi)
+        assert np.array_equal(reduced.c, phi.c_phi @ z_co)
+        assert np.array_equal(reduction.right_projector, z_co)
+        assert np.array_equal(reduction.left_projector, left)
+
+    def test_probe_response_is_the_reduced_transfer_function(self, small_impulsive_ladder):
+        phi = build_phi_realization(small_impulsive_ladder)
+        reduction = remove_impulsive_modes(phi)
+        np.testing.assert_allclose(
+            reduction.probe_response,
+            reduction.system.evaluate(PROBE_POINT),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+
+    def test_probe_response_is_none_at_a_pole(self, mixed_passive_system):
+        phi = build_phi_realization(mixed_passive_system)
+        assert remove_impulsive_modes(phi, probe_point=1.0).probe_response is None
+
     def test_reduced_system_is_impulse_free_for_passive_inputs(
         self, small_impulsive_ladder
     ):
@@ -108,6 +146,23 @@ class TestNondynamicRemoval:
         shared = remove_nondynamic_modes(reduced, e_svd=np.linalg.svd(reduced.e))
         assert shared.n_removed == own.n_removed > 0
         np.testing.assert_array_equal(shared.system.a, own.system.a)
+
+    def test_reused_probe_response_gives_the_same_defect(self, small_impulsive_ladder):
+        impulsive = remove_impulsive_modes(build_phi_realization(small_impulsive_ladder))
+        own = remove_nondynamic_modes(impulsive.system)
+        shared = remove_nondynamic_modes(
+            impulsive.system, probe_response=impulsive.probe_response
+        )
+        assert own.n_removed > 0
+        assert shared.transfer_defect == own.transfer_defect
+        assert own.transfer_defect <= 1e-10
+
+    def test_default_probe_point_is_shared(self):
+        import inspect
+
+        for function in (remove_impulsive_modes, remove_nondynamic_modes):
+            default = inspect.signature(function).parameters["probe_point"].default
+            assert default == PROBE_POINT == 0.7 + 1.3j
 
     def test_transfer_preserved(self, index1_passive_system):
         reduced = self._reduced_phi(index1_passive_system)

@@ -9,6 +9,7 @@ from repro.linalg.hamiltonian import (
     hamiltonian_part,
     is_hamiltonian,
     is_skew_hamiltonian,
+    random_skew_hamiltonian,
     skew_hamiltonian_part,
     symplectic_identity,
 )
@@ -99,6 +100,24 @@ def test_pvl_reduction_invariants(half, seed):
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvals(w).real), np.sort(np.linalg.eigvals(t).real), atol=1e-6
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=70), st.integers(min_value=0, max_value=2**31 - 1))
+def test_blocked_pvl_form_is_exact(half, seed):
+    """Blocked PVL up to and across panel boundaries: exact zero pattern,
+    orthogonal symplectic U and U^T W U = T to round-off."""
+    rng = np.random.default_rng(seed)
+    w = random_skew_hamiltonian(half, rng) * 10.0 ** rng.uniform(-3, 3)
+    u, t = pvl_decomposition(w)
+    eye, j = np.eye(2 * half), symplectic_identity(half)
+    assert np.max(np.abs(u.T @ u - eye)) <= 1e-13
+    assert np.max(np.abs(u.T @ j @ u - j)) <= 1e-13
+    assert np.max(np.abs(u.T @ w @ u - t)) <= 1e-12 * np.max(np.abs(w)) * np.sqrt(half)
+    assert not np.any(t[half:, :half])
+    assert not np.any(np.tril(t[:half, :half], k=-2))
+    assert np.array_equal(t[:half, half:], -t[:half, half:].T)
+    assert np.array_equal(t[half:, half:], t[:half, :half].T)
 
 
 @settings(max_examples=30, deadline=None)
