@@ -52,6 +52,10 @@ def householder_vector(x: np.ndarray) -> Tuple[np.ndarray, float]:
         v0 = x[0] - mu
     else:
         v0 = -sigma / (x[0] + mu)
+        if v0 == 0.0:
+            # The tail underflows against x[0] > 0: H is the identity to
+            # working precision, and v = x / v0 would divide by zero.
+            return v, 0.0
     beta = 2.0 * v0 ** 2 / (sigma + v0 ** 2)
     v = x.copy()
     v[0] = v0

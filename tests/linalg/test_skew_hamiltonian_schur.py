@@ -140,6 +140,19 @@ class TestBlockedPvl:
             np.linalg.eigvals(w), np.linalg.eigvals(t[:half, :half]), atol=1e-8
         )
 
+    def test_underflowing_column_tail_keeps_the_form_finite(self, rng):
+        # Column 0 of W11 is [a, 1, 0, 0, t] with t**2 rounding to the
+        # smallest subnormal: its reflector's v0 = -t**2 / 2 underflows to 0.
+        half = 5
+        w11 = rng.standard_normal((half, half))
+        w11[1:, 0] = [1.0, 0.0, 0.0, 2.6788e-162]
+        skew = rng.standard_normal((half, half))
+        w = make_skew_hamiltonian(w11, skew - skew.T, np.zeros((half, half)))
+        with np.errstate(divide="raise", invalid="raise"):
+            u, t = pvl_decomposition(w)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(t))
+        _assert_pvl_form(w, u, t)
+
     def test_zero_matrix(self):
         u, t = pvl_decomposition(np.zeros((2 * (PVL_BLOCK + 1), 2 * (PVL_BLOCK + 1))))
         np.testing.assert_array_equal(u, np.eye(u.shape[0]))

@@ -44,6 +44,15 @@ class TestElementaryTransformations:
         _, beta = householder_vector(x)
         assert beta == 0.0
 
+    def test_householder_with_underflowing_tail_is_identity(self):
+        # sigma = t**2 is the smallest subnormal, so v0 = -sigma / (2 x0)
+        # underflows to zero; the reflector must not divide by it.
+        x = np.array([1.0, 0.0, 0.0, 2.6788e-162])
+        with np.errstate(divide="raise", invalid="raise"):
+            v, beta = householder_vector(x)
+        assert beta == 0.0
+        assert v[0] == 1.0 and np.all(np.isfinite(v))
+
     def test_householder_application_matches_dense(self, rng):
         m = rng.standard_normal((5, 5))
         x = rng.standard_normal(3)
