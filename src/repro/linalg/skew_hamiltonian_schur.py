@@ -75,9 +75,9 @@ def pvl_decomposition(
     transformations in the same form and forms each column it reduces as
     ``Z^T W (Z e_j)`` from the matrix at the panel's start, so no other
     column of ``W`` is touched inside the panel; the trailing blocks and
-    ``U`` are then updated once per panel with ``gemm``s.  The reduced
-    columns of ``W11`` are exactly Hessenberg, ``W21`` is exactly zero and
-    ``W12`` exactly skew-symmetric.
+    ``U`` are then updated once per panel with ``gemm``s.  ``W11`` is
+    exactly Hessenberg, ``W21`` exactly zero and ``W12`` exactly
+    skew-symmetric.
 
     Parameters
     ----------

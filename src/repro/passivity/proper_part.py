@@ -137,7 +137,9 @@ def extract_stable_proper_part(
     # Decouple with the Lyapunov solve of Eq. 23: Lambda Y + Y Lambda^T + Psi = 0,
     # with Lambda = T11 already quasi-triangular from Eq. 22 (one ?trsyl call).
     lam = splitting.stable_block
-    y_solution = solve_triangular_sylvester(lam, lam, -psi, transpose_b=True, tol=tol)
+    y_solution = solve_triangular_sylvester(
+        lam, lam, -psi, transpose_b=True, tol=tol
+    )
     # Z2 = Z1 [[I, Y], [0, I]] block-diagonalizes a_block; in half-order
     # blocks, with [B1; B2] = Z1^T B and [C1, C2] = C Z1, the stable part is
     # (T11, B1 - Y B2, C1) and the anti-stable part

@@ -280,7 +280,9 @@ def _safe_transfer_defect(
     tol: Tolerances,
 ) -> float:
     """Relative transfer-function mismatch at a probe point (``nan`` if unevaluable)."""
-    return _transfer_defect(_safe_probe(original, probe, tol), _safe_probe(reduced, probe, tol))
+    return _transfer_defect(
+        _safe_probe(original, probe, tol), _safe_probe(reduced, probe, tol)
+    )
 
 
 @dataclass(frozen=True)
