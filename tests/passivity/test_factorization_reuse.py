@@ -41,7 +41,7 @@ def paper_restoration():
 
 
 def _spy(monkeypatch, module, name):
-    """Wrap ``module.name``; return the list of ``(args, result)`` calls."""
+    """Wrap ``module.name``; return the list of ``(args, kwargs, result)`` calls."""
     calls = []
     original = getattr(module, name)
 
@@ -74,16 +74,16 @@ def test_stable_part_is_the_schur_block(monkeypatch, paper_restoration):
 
 
 @pytest.mark.parametrize(
-    "system",
+    "make_system",
     [
-        paper_benchmark_model(60, n_impulsive_stubs=2, seed=3).system,
-        impulsive_rlc_ladder(8, 2).system,
+        lambda: paper_benchmark_model(60, n_impulsive_stubs=2, seed=3).system,
+        lambda: impulsive_rlc_ladder(8, 2).system,
     ],
     ids=["paper-60", "impulsive-ladder"],
 )
-def test_eq23_residual_on_the_schur_block(monkeypatch, system):
+def test_eq23_residual_on_the_schur_block(monkeypatch, make_system):
     solves = _spy(monkeypatch, proper_part_module, "solve_triangular_sylvester")
-    extract_stable_proper_part(_restoration(system))
+    extract_stable_proper_part(_restoration(make_system()))
     (args, kwargs, y_solution), = solves
     t_a, t_b, rhs = args[:3]
     assert t_a is t_b and kwargs["transpose_b"]
