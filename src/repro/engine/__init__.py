@@ -11,9 +11,10 @@ tests:
   methods and calls,
 * :mod:`repro.engine.runner` — :class:`BatchRunner` fanning systems x methods
   over a process/thread pool with per-task timeouts and telemetry,
-* :mod:`repro.engine.executor` — :func:`run_cells`, the one process task,
-  and the :class:`SupervisedPool` that runs it; every payload travels
-  through the pool's pickle pipe,
+* :mod:`repro.engine.executor` — :func:`run_cells`, the one task every
+  cell runs in, and the :class:`SupervisedPool` that runs it on threads,
+  processes or inline; every process payload travels through the pool's
+  pickle pipe,
 * :mod:`repro.engine.api` — :func:`check_passivity`, the one-call entry point
   with ``method="auto"`` selection.
 """

@@ -1,23 +1,26 @@
-"""One way to run engine cells in worker processes.
+"""One way to run engine cells, on any executor.
 
-Every cell the engine ships to a worker process runs the same thing: one
-passivity test (the paper's Figure-1 test or a baseline) through one
+Every cell the engine runs is the same thing: one passivity test (the
+paper's Figure-1 test or a baseline) through one
 :class:`~repro.engine.cache.DecompositionCache`.  This module holds the only
-process task that does it, :func:`run_cells`, and the one pool both process
-callers submit it to, :class:`SupervisedPool`:
+task that does it, :func:`run_cells`, and the one pool every caller submits
+it to, :class:`SupervisedPool`:
 
 * :class:`~repro.engine.runner.BatchRunner` ships a sweep as groups of
-  systems — a micro-batch chunk, one piece of a warm-start chain, or a single
-  system as a group of one.  Each task builds a fresh cache from the runner
-  cache's ``(maxsize, store)``.
+  systems — a micro-batch chunk (process backend only), one piece of a
+  warm-start chain, or a single system as a group of one.  A process task
+  builds a fresh cache from the runner cache's ``(maxsize, store)``; a
+  thread or serial task (:class:`InlineExecutor`) runs on the runner's
+  shared cache.
 * :class:`~repro.service.PassivityService` ships each dispatch — one job or a
-  micro-batch of jobs — as one group.  Its pool runs :func:`init_worker` in
-  every worker process, so all tasks of a worker share one store-backed cache.
+  micro-batch of jobs — as one group.  Its process pool runs
+  :func:`init_worker` in every worker process, so all tasks of a worker
+  share one store-backed cache; its thread pool runs on the runner cache.
 
 This is the two-level parallelism of the Wong–Lam study: tasks fan out over
 the pool's workers, and inside a task the cache shares each intermediate
-among the task's cells.  Every payload — systems, spectral contexts and
-warm-start ancestors — travels through the pool's own pickle pipe.
+among the task's cells.  Every process payload — systems, spectral contexts
+and warm-start ancestors — travels through the pool's own pickle pipe.
 
 A worker crash (OOM kill, segfault, SIGKILL) breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor`: every in-flight future
@@ -30,7 +33,7 @@ replacement is built at the next :meth:`SupervisedPool.submit`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.config import Tolerances
@@ -41,7 +44,7 @@ from repro.linalg.pencil import SpectralContext
 from repro.obs.trace import JobTrace, use_trace
 from repro.passivity.result import PassivityReport
 
-__all__ = ["CellTask", "SupervisedPool", "init_worker", "run_cells"]
+__all__ = ["CellTask", "InlineExecutor", "SupervisedPool", "init_worker", "run_cells"]
 
 #: One cell's result: ``(report, seconds, error, spans)``.
 CellOutcome = Tuple[Optional[PassivityReport], float, Optional[str], List[Dict[str, Any]]]
@@ -60,33 +63,6 @@ def init_worker(store: Optional[Any], maxsize: Optional[int]) -> None:
     """
     global _WORKER_CACHE
     _WORKER_CACHE = DecompositionCache(maxsize=maxsize, store=store)
-
-
-def _run_cell(
-    system: Any,
-    method: str,
-    tol: Tolerances,
-    cache: Optional[DecompositionCache],
-    registry: Optional[MethodRegistry],
-    options: Dict[str, Any],
-    ancestor: Optional[Any] = None,
-) -> Tuple[Optional[PassivityReport], float, Optional[str]]:
-    """Run one method on one system, converting exceptions to error strings.
-
-    ``ancestor`` is forwarded to :func:`check_passivity` for sweep-mode
-    cells (``"auto"`` or an explicit system); the engine ignores it for
-    methods the incremental tier does not serve.
-    """
-    start = time.perf_counter()
-    try:
-        report = check_passivity(
-            system, method=method, tol=tol, cache=cache, registry=registry,
-            ancestor=ancestor, **options
-        )
-        return report, time.perf_counter() - start, None
-    except Exception as error:  # noqa: BLE001 - one bad cell must not kill the sweep
-        message = f"{type(error).__name__}: {error}"
-        return None, time.perf_counter() - start, message
 
 
 class CellTask(NamedTuple):
@@ -111,42 +87,95 @@ class CellTask(NamedTuple):
     contexts: Optional[Dict[int, SpectralContext]] = None
 
 
-def run_cells(task: CellTask) -> Tuple[List[CellOutcome], CacheStats, List[Dict[str, Any]]]:
-    """Process task: run every cell of ``task`` through one cache.
+def run_cells(
+    task: CellTask, cache: Optional[DecompositionCache] = None
+) -> Tuple[List[CellOutcome], CacheStats]:
+    """Run every cell of ``task`` through one cache.
 
-    Returns one outcome per cell, in order, one :class:`CacheStats` delta for
-    the whole task and the spans recorded outside any cell (context seeding).
-    One delta per task keeps the counters exact: a factorization two cells
-    share is counted once, as the one computation and the hit it really is.
-    Each outcome carries its own cell's spans, so a caller can give every
-    job its own trace.
+    ``cache`` is the cache the cells run on: thread and serial callers pass
+    their shared cache.  Without one, a worker process runs on the cache
+    :func:`init_worker` installed, and failing that on a fresh one built
+    from ``task.cache``.
+
+    Returns one outcome per cell, in order, and one :class:`CacheStats`
+    delta for the whole task.  One delta per task keeps the counters exact:
+    a factorization two cells share is counted once, as the one computation
+    and the hit it really is.  Each outcome carries its own cell's spans, so
+    a caller can give every job its own trace.  A cell whose method raises
+    reports the error instead; it does not fail the task.
     """
-    cache = _WORKER_CACHE
+    if cache is None:
+        cache = _WORKER_CACHE
     if cache is None:
         maxsize, store = task.cache
         cache = DecompositionCache(maxsize=maxsize, store=store)
     baseline = cache.stats.snapshot()
-    shared = JobTrace()
-    with use_trace(shared):
-        for position, context in (task.contexts or {}).items():
-            cache.seed(task.fleet[position], PENCIL_SPECTRUM, context, tol=task.tol)
+    for position, context in (task.contexts or {}).items():
+        cache.seed(task.fleet[position], PENCIL_SPECTRUM, context, tol=task.tol)
     outcomes: List[CellOutcome] = []
     for position, method, options, ancestor in task.cells:
         trace = JobTrace()
+        report: Optional[PassivityReport] = None
+        error: Optional[str] = None
+        start = time.perf_counter()
         with use_trace(trace):
-            report, seconds, error = _run_cell(
-                task.fleet[position], method, task.tol, cache, task.registry,
-                options, ancestor=ancestor,
-            )
-        outcomes.append((report, seconds, error, trace.to_jsonable()))
-    return outcomes, cache.stats.minus(baseline), shared.to_jsonable()
+            try:
+                report = check_passivity(
+                    task.fleet[position], method=method, tol=task.tol,
+                    cache=cache, registry=task.registry, ancestor=ancestor,
+                    **options,
+                )
+            except Exception as exc:  # noqa: BLE001 - one bad cell must not kill the sweep
+                error = f"{type(exc).__name__}: {exc}"
+        outcomes.append((report, time.perf_counter() - start, error, trace.to_jsonable()))
+    return outcomes, cache.stats.minus(baseline)
+
+
+class _InlineFuture(Future):
+    """A future whose call runs in the first thread that asks for its result."""
+
+    def __init__(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        super().__init__()
+        self._call = (fn, args)
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        if not self.done() and self.set_running_or_notify_cancel():
+            fn, args = self._call
+            try:
+                self.set_result(fn(*args))
+            except Exception as error:  # noqa: BLE001 - surfaces from result()
+                self.set_exception(error)
+        return super().result()
+
+
+class InlineExecutor(Executor):
+    """The serial backend's executor: a task runs when it is collected.
+
+    :meth:`submit` only records the call; the thread that first asks for
+    the result runs it, so a collector that reports after each task reports
+    before the next task starts.  ``timeout`` is ignored — the call runs to
+    completion in the collecting thread.
+    """
+
+    _max_workers = 1
+
+    def __init__(self, **_options: Any) -> None:
+        pass
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Return a future that runs ``fn(*args)`` when its result is read."""
+        return _InlineFuture(fn, args)
 
 
 class SupervisedPool:
-    """A :class:`ProcessPoolExecutor` that is replaced after a worker crash.
+    """An executor that is replaced after a worker crash.
 
-    The first pool is built here, so a platform without working process
-    pools fails at construction.  :meth:`submit` never raises: a pool that
+    ``executor`` is the executor class: :class:`ProcessPoolExecutor`
+    (default), :class:`~concurrent.futures.ThreadPoolExecutor` or
+    :class:`InlineExecutor`.  Only a process pool breaks on a crash, but
+    every caller drives its pool through the same supervisor.  The first
+    pool is built here, so a platform without working process pools fails
+    at construction.  :meth:`submit` never raises: a pool that
     is already broken, or a replacement that cannot be built, yields a
     future holding the error, so callers handle every failure in one place
     — where they collect results.
@@ -157,11 +186,13 @@ class SupervisedPool:
         max_workers: Optional[int] = None,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
+        executor: Callable[..., Executor] = ProcessPoolExecutor,
     ) -> None:
+        self._executor = executor
         self._options = dict(
             max_workers=max_workers, initializer=initializer, initargs=initargs
         )
-        self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(**self._options)
+        self._pool: Optional[Executor] = executor(**self._options)
         #: Worker count of every pool this supervisor builds.
         self.max_workers: int = self._pool._max_workers
         #: Broken pools torn down by :meth:`heal`.
@@ -170,22 +201,22 @@ class SupervisedPool:
         self._running: Set[Future] = set()
 
     @property
-    def pool(self) -> Optional[ProcessPoolExecutor]:
+    def pool(self) -> Optional[Executor]:
         """The current pool; ``None`` between a heal and the next submit."""
         return self._pool
 
     def submit(
         self, fn: Callable[..., Any], *args: Any
-    ) -> Tuple[Future, Optional[ProcessPoolExecutor]]:
+    ) -> Tuple[Future, Optional[Executor]]:
         """Submit ``fn(*args)``; return the future and the pool it went to.
 
         Hand that pool to :meth:`heal` when the future raises
         :class:`~concurrent.futures.BrokenExecutor`.
         """
-        pool: Optional[ProcessPoolExecutor] = None
+        pool: Optional[Executor] = None
         try:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(**self._options)
+                self._pool = self._executor(**self._options)
             pool = self._pool
             future = pool.submit(fn, *args)
         except Exception as error:  # noqa: BLE001 - failures surface from the future
@@ -196,7 +227,7 @@ class SupervisedPool:
         future.add_done_callback(self._running.discard)
         return future, pool
 
-    def heal(self, pool: Optional[ProcessPoolExecutor]) -> bool:
+    def heal(self, pool: Optional[Executor]) -> bool:
         """Tear down a broken ``pool``; True when this call counted it.
 
         Idempotent per pool: when several futures observe the same crash,

@@ -2,44 +2,52 @@
 
 A production passivity service checks many macromodels with several methods;
 the individual tests are independent, so the sweep parallelizes trivially.
-:class:`BatchRunner` fans the ``systems x methods`` grid out over a process
-pool (or a thread pool / serial loop), applies a best-effort per-task timeout,
-and returns results in deterministic ``(system, method)`` order regardless of
-completion order, together with timing telemetry and the cache counters that
-show how many decompositions were shared.
+:class:`BatchRunner` fans the ``systems x methods`` grid out over a pool,
+applies a best-effort per-task timeout, and returns results in deterministic
+``(system, method)`` order regardless of completion order, together with
+timing telemetry and the cache counters that show how many decompositions
+were shared.
+
+Every backend runs the same plan and the same collection loop: one
+:func:`~repro.engine.executor.run_cells` task per *group* of systems — one
+piece of a warm-start chain, a micro-batch chunk (process backend only), or
+a single system as a group of one — on a
+:class:`~repro.engine.executor.SupervisedPool`.  A task runs all requested
+methods on its group through one :class:`DecompositionCache`, so per-system
+intermediates are shared across methods.  The backend only picks the pool.
 
 Backends
 --------
 ``"process"``
-    One :func:`~repro.engine.executor.run_cells` task per *group* of systems
-    — a micro-batch chunk, one piece of a warm-start chain, or a single
-    system as a group of one — on a :class:`~repro.engine.executor.SupervisedPool`.
-    A task runs all requested methods on its group through one worker-local
-    :class:`DecompositionCache`, so per-system intermediates are still shared,
-    and returns one counter delta that is merged into the outcome.  Method
-    runners must be picklable (module-level functions) — the built-in registry
+    A process pool.  Each task runs on a worker-local cache and returns one
+    counter delta and its span trees, merged into the outcome and replayed
+    into :data:`~repro.obs.metrics.METRICS` once per task.  Method runners
+    must be picklable (module-level functions) — the built-in registry
     qualifies.  When the runner's cache has a persistent store attached, the
     store is shipped along (workers re-open the same root) so worker-local
     caches share decompositions through the L2 tier as well.  Every payload
     (systems, spectral contexts) travels through the pool's pickle pipe.
-    Small dense systems are micro-batched several-per-worker-cell
+    Small dense systems are micro-batched several-per-task
     (``batch_small_systems`` knob) so dispatch overhead amortizes.  A worker
     crash rebuilds the pool and resubmits each interrupted task once.
 ``"thread"``
-    One task per ``(system, method)`` pair sharing the runner's cache; NumPy
+    A thread pool; every task runs on the runner's shared cache.  NumPy
     releases the GIL in the O(n^3) kernels, so threads overlap well.
 ``"serial"``
-    In-process loop, mainly for debugging and deterministic accounting.
+    An :class:`~repro.engine.executor.InlineExecutor`: each task runs in the
+    calling thread when it is collected, on the runner's cache — mainly for
+    debugging and deterministic accounting.
 ``"auto"``
     ``"process"`` when a pool can be created, otherwise ``"serial"``.
 
 Timeouts are enforced while *collecting* results: a task that exceeds
-``task_timeout`` is reported as ``timed_out`` and the sweep moves on.  A
-sweep whose every task finished joins its process pool before ``run()``
-returns, so no worker outlives the call.  After a timeout, queued cells that
-never started are cancelled and ``run()`` returns without joining hung
-workers — an already-running worker cannot be forcibly killed (the usual
-executor limitation) and keeps running in the background until it finishes.
+``task_timeout`` is reported as ``timed_out`` and the sweep moves on (the
+serial backend runs every task to completion).  A sweep whose every task
+finished joins its pool before ``run()`` returns, so no worker outlives the
+call.  After a timeout, queued tasks that never started are cancelled and
+``run()`` returns without joining hung workers — an already-running worker
+cannot be forcibly killed (the usual executor limitation) and keeps running
+in the background until it finishes.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ import time
 from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
-    Future,
+    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
@@ -63,7 +71,7 @@ from repro.engine.cache import (
     DecompositionCache,
     fingerprint_system,
 )
-from repro.engine.executor import CellTask, SupervisedPool, _run_cell, run_cells
+from repro.engine.executor import CellTask, InlineExecutor, SupervisedPool, run_cells
 from repro.engine.incremental import delta_distance, family_key
 from repro.engine.registry import DEFAULT_REGISTRY, MethodRegistry, UnknownMethodError
 from repro.linalg.pencil import SpectralContext
@@ -72,6 +80,15 @@ from repro.obs.trace import JobTrace
 from repro.passivity.result import PassivityReport
 
 __all__ = ["BatchResult", "BatchOutcome", "BatchRunner"]
+
+#: The executor class behind each backend's :class:`SupervisedPool`;
+#: ``"auto"`` tries a process pool first.
+_EXECUTORS = {
+    "auto": ProcessPoolExecutor,
+    "process": ProcessPoolExecutor,
+    "thread": ThreadPoolExecutor,
+    "serial": InlineExecutor,
+}
 
 
 @dataclass
@@ -211,20 +228,20 @@ class BatchRunner:
         Method registry used for dispatch (default: the process-wide one).
         With the ``"process"`` backend a custom registry must be picklable.
     cache:
-        Shared :class:`DecompositionCache` for the ``"thread"``/``"serial"``
-        backends; a fresh one is created when omitted.  The ``"process"``
-        backend uses worker-local caches instead and merges their counters,
-        but the parent cache still holds the precomputed spectral contexts
-        shipped to the workers (so repeated sweeps reuse them).
-        After a timed-out thread cell, the abandoned task keeps running and
-        eventually records into this cache, so per-sweep stats deltas of
-        *later* ``run()`` calls on the same runner are best-effort; use a
-        fresh runner when exact accounting matters.
+        Shared :class:`DecompositionCache` the ``"thread"``/``"serial"``
+        tasks run on; a fresh one is created when omitted.  The
+        ``"process"`` backend uses worker-local caches instead and merges
+        their counters, but the parent cache still holds the precomputed
+        spectral contexts shipped to the workers (so repeated sweeps reuse
+        them).  After a timed-out thread task, the abandoned task keeps
+        running and eventually records into this cache, so per-sweep stats
+        deltas of *later* ``run()`` calls on the same runner are
+        best-effort; use a fresh runner when exact accounting matters.
     max_workers:
-        Pool size (default: executor's choice).
+        Pool size, at least 1 (default: executor's choice).
     task_timeout:
-        Best-effort per-task timeout in seconds (``None`` disables).  The
-        budget is per *system*: a micro-batched chunk of ``k`` systems is
+        Best-effort per-task timeout in seconds, positive (``None``
+        disables).  The budget is per *system*: a task of ``k`` systems is
         waited on for ``k * task_timeout``.
     backend:
         ``"auto"``, ``"process"``, ``"thread"`` or ``"serial"``.
@@ -261,8 +278,8 @@ class BatchRunner:
         (default 100 — where per-job numerical work stops dominating the
         process round trip).
     batch_size:
-        Jobs per micro-batch chunk; default sizes chunks to roughly two
-        waves per worker, capped at 32.
+        Jobs per micro-batch chunk, at least 1; default sizes chunks to
+        roughly two waves per worker, capped at 32.
     incremental:
         Sweep-mode warm starting (default ``"off"``).  With ``"sweep"``,
         dense systems of identical shape are grouped into perturbation
@@ -272,13 +289,13 @@ class BatchRunner:
         one cold QZ each successor is certified by the perturbation-aware
         update tier (falling back to cold, and becoming the new warm-start
         root, whenever a validity bound fails — verdicts never weaken).
-        Chains run in order: serially inline, and one pool task per chain on
-        the thread backend.  On the process backend each chain runs as a
-        worker chunk sharing one worker-local cache, so it pays a single
-        cold factorization; when the sweep would leave pool workers idle,
-        the longest chains are split into pieces that each repeat the
-        chain's root (one extra cold factorization per extra piece, on an
-        otherwise idle worker — the root's verdict is recorded once).
+        Each chain runs in order as one task sharing one cache, so it pays
+        a single cold factorization; when the sweep would leave pool
+        workers idle, the longest chains are split into pieces that each
+        repeat the chain's root (on the process backend one extra cold
+        factorization per extra piece, on an otherwise idle worker; thread
+        pieces share the runner cache — the root's verdict is recorded
+        once).
         ``n_chains`` / ``n_chained_jobs`` count the planned chains either
         way.  Systems without a same-shape partner run exactly as with
         ``"off"``.
@@ -309,6 +326,12 @@ class BatchRunner:
                 f"batch_small_systems must be 'auto', True or False, "
                 f"got {batch_small_systems!r}"
             )
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, got {max_workers!r}")
+        if task_timeout is not None and task_timeout <= 0:
+            raise ValueError(f"task_timeout must be positive, got {task_timeout!r}")
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
         self.registry = registry or DEFAULT_REGISTRY
         self.cache = cache if cache is not None else DecompositionCache()
         self.max_workers = max_workers
@@ -429,60 +452,6 @@ class BatchRunner:
         return chains
 
     # ------------------------------------------------------------------
-    def run_cell(
-        self,
-        system: DescriptorSystem,
-        method: str = "auto",
-        options: Optional[Dict[str, Any]] = None,
-        system_index: int = 0,
-        ancestor: Optional[Any] = None,
-    ) -> BatchResult:
-        """Run one ``(system, method)`` cell synchronously in this thread.
-
-        The per-cell hook behind the :mod:`repro.service` job queue: each
-        service worker executes exactly one cell through the runner's shared
-        cache, registry and tolerance bundle, so concurrent jobs on the same
-        system share decompositions exactly like the cells of a
-        :meth:`run` sweep (the cache's per-key locks guarantee each
-        intermediate is computed once even when duplicate jobs race).
-
-        Parameters
-        ----------
-        system:
-            The descriptor system under test.
-        method:
-            Registry name/alias or ``"auto"``; validated before any work is
-            spent (:class:`~repro.engine.registry.UnknownMethodError` on a
-            typo, matching :meth:`run`).
-        options:
-            Extra keyword arguments for the method runner.
-        system_index:
-            Index recorded on the returned :class:`BatchResult` (the service
-            does not use sweep positions; callers embedding cells in a larger
-            sweep can label them).
-        ancestor:
-            Optional warm-start hint forwarded to
-            :func:`~repro.engine.api.check_passivity` — a nearby system
-            whose decompositions sit in the runner's cache, or ``"auto"``
-            (the service's sweep-aware dispatch passes the family root
-            here).
-
-        Returns
-        -------
-        BatchResult
-            The cell outcome; a method that raised is reported through
-            ``result.error`` rather than propagating, exactly like a sweep
-            cell.
-        """
-        if method != "auto":
-            self.registry.resolve(method)
-        report, seconds, error = _run_cell(
-            system, method, self.tol, self.cache, self.registry,
-            dict(options or {}), ancestor=ancestor,
-        )
-        return BatchResult(system_index, method, report, seconds, error)
-
-    # ------------------------------------------------------------------
     def run(
         self,
         systems: Sequence[DescriptorSystem],
@@ -533,154 +502,26 @@ class BatchRunner:
         contexts = self._spectral_contexts(systems, methods, method_options)
         chains = self._plan_sweep_chains(systems)
         backend = self.backend
-        if backend in ("auto", "process"):
-            # Only pool *creation* triggers the serial fallback; a pool that
-            # breaks mid-sweep surfaces as per-cell errors instead of silently
-            # discarding completed work and re-running everything locally.
-            try:
-                pool = SupervisedPool(max_workers=self.max_workers)
-            except (OSError, PermissionError):
-                if backend == "process":
-                    raise
-                outcome = self._run_local(
-                    systems, methods, method_options, "serial", stats_baseline,
-                    chains, progress,
-                )
-            else:
-                outcome = self._run_process(
-                    pool, systems, methods, method_options, contexts,
-                    stats_baseline, chains, progress,
-                )
-        else:
-            outcome = self._run_local(
-                systems, methods, method_options, backend, stats_baseline,
-                chains, progress,
+        try:
+            pool = SupervisedPool(
+                max_workers=self.max_workers, executor=_EXECUTORS[backend]
             )
+        except (OSError, PermissionError):
+            # Only pool *creation* triggers the serial fallback; a pool that
+            # breaks mid-sweep surfaces as per-cell errors instead of
+            # silently discarding completed work and re-running it here.
+            if backend != "auto":
+                raise
+            backend = "serial"
+            pool = SupervisedPool(executor=InlineExecutor)
+        if backend == "auto":
+            backend = "process"
+        outcome = self._run_tasks(
+            pool, backend, systems, methods, method_options, contexts,
+            stats_baseline, chains, progress,
+        )
         outcome.total_seconds = time.perf_counter() - start
         return outcome
-
-    # ------------------------------------------------------------------
-    def _run_local(
-        self,
-        systems: List[DescriptorSystem],
-        methods: Tuple[str, ...],
-        method_options: Dict[str, Dict[str, Any]],
-        backend: str,
-        stats_baseline: CacheStats,
-        chains: List[List[int]],
-        progress: Optional[Callable[[BatchResult], None]] = None,
-    ) -> BatchOutcome:
-        # Thread/serial cells share the runner's cache, so the precomputed
-        # spectral contexts are already where every worker will look for
-        # them; no per-cell plumbing is needed.  Sweep chains run in delta
-        # order against the shared cache (ancestor="auto"): the chain root
-        # factorizes cold and registers itself, every successor warm-starts.
-        registry = self.registry
-        chained = {si for chain in chains for si in chain}
-        results: Dict[Tuple[int, int], BatchResult] = {}
-
-        def record(key: Tuple[int, int], result: BatchResult) -> None:
-            results[key] = result
-            _notify_progress(progress, result)
-
-        def run_one(si: int, mi: int, method: str) -> None:
-            report, seconds, error = _run_cell(
-                systems[si], method, self.tol, self.cache, registry,
-                method_options.get(method, {}),
-                ancestor="auto" if si in chained else None,
-            )
-            record((si, mi), BatchResult(si, method, report, seconds, error))
-
-        if backend == "serial":
-            n_workers = 1
-            order = [si for chain in chains for si in chain] + [
-                si for si in range(len(systems)) if si not in chained
-            ]
-            for si in order:
-                for mi, method in enumerate(methods):
-                    run_one(si, mi, method)
-        else:
-            pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            try:
-                n_workers = pool._max_workers
-
-                def run_chain(chain: List[int]) -> List[Tuple[int, int, str, Any, Any, Any]]:
-                    # One pool task per chain: the jobs of a chain are
-                    # sequentially dependent (each warm-starts from cache
-                    # state its predecessor created), while distinct chains
-                    # and unchained cells still overlap across threads.
-                    out = []
-                    for si in chain:
-                        for mi, method in enumerate(methods):
-                            report, seconds, error = _run_cell(
-                                systems[si], method, self.tol, self.cache,
-                                registry, method_options.get(method, {}),
-                                ancestor="auto",
-                            )
-                            out.append((si, mi, method, report, seconds, error))
-                    return out
-
-                chain_futures: List[Tuple[List[int], Future]] = [
-                    (chain, pool.submit(run_chain, chain)) for chain in chains
-                ]
-                futures: List[Tuple[int, int, str, Future]] = [
-                    (
-                        si,
-                        mi,
-                        method,
-                        pool.submit(
-                            _run_cell, system, method, self.tol, self.cache,
-                            registry, method_options.get(method, {}),
-                        ),
-                    )
-                    for si, system in enumerate(systems)
-                    if si not in chained
-                    for mi, method in enumerate(methods)
-                ]
-                for si, mi, method, future in futures:
-                    try:
-                        report, seconds, error = future.result(timeout=self.task_timeout)
-                        record((si, mi), BatchResult(si, method, report, seconds, error))
-                    except FutureTimeoutError:
-                        record((si, mi), BatchResult(si, method, timed_out=True))
-                for chain, future in chain_futures:
-                    # The per-system timeout budgets the whole chain, like a
-                    # micro-batch chunk.
-                    timeout = None
-                    if self.task_timeout is not None:
-                        timeout = self.task_timeout * len(chain)
-                    try:
-                        for si, mi, method, report, seconds, error in future.result(
-                            timeout=timeout
-                        ):
-                            record(
-                                (si, mi),
-                                BatchResult(si, method, report, seconds, error),
-                            )
-                    except FutureTimeoutError:
-                        for si in chain:
-                            for mi, method in enumerate(methods):
-                                if (si, mi) not in results:
-                                    record(
-                                        (si, mi),
-                                        BatchResult(si, method, timed_out=True),
-                                    )
-            finally:
-                # Do not join hung workers: cancel anything still queued and
-                # return promptly; a running thread cannot be killed but must
-                # not block the sweep either.
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        ordered = [results[key] for key in sorted(results)]
-        return BatchOutcome(
-            results=ordered,
-            cache_stats=self.cache.stats.minus(stats_baseline),
-            total_seconds=0.0,
-            backend=backend,
-            n_workers=n_workers,
-            n_chains=len(chains),
-            n_chained_jobs=sum(len(chain) for chain in chains),
-        )
 
     # ------------------------------------------------------------------
     def _plan_chunks(
@@ -718,9 +559,10 @@ class BatchRunner:
         return [small[k : k + size] for k in range(0, len(small), size)]
 
     # ------------------------------------------------------------------
-    def _run_process(
+    def _run_tasks(
         self,
         pool: SupervisedPool,
+        backend: str,
         systems: List[DescriptorSystem],
         methods: Tuple[str, ...],
         method_options: Dict[str, Dict[str, Any]],
@@ -731,18 +573,23 @@ class BatchRunner:
     ) -> BatchOutcome:
         # Every task is one run_cells call on a group of systems: a chain
         # piece, a micro-batch chunk or a single system as a group of one.
-        # The task's one worker-local cache shares per-system intermediates
-        # across methods.  The registry is shipped to the workers (specs
-        # pickle by reference, so runners must be module-level functions);
-        # relying on the worker re-importing DEFAULT_REGISTRY would drop
-        # dynamically registered methods under a spawn start method.  The
-        # parent-computed spectral contexts are seeded into the task's cache
-        # instead of re-factorizing the pencil.  A context shared by several
-        # positions of one task is pickled once (pickle's memo).
-        #
-        # Parent-side precompute counters (the hoisted factorizations) join
-        # the merged worker counters so the sweep telemetry stays complete.
-        merged = self.cache.stats.minus(stats_baseline)
+        # The task's one cache shares per-system intermediates across
+        # methods.  Thread and serial tasks run on the runner's cache, which
+        # already holds the precomputed spectral contexts, and count their
+        # stats and spans at the source.  A process task runs on a
+        # worker-local cache seeded with the parent-computed contexts and
+        # returns its counter delta and span trees, merged and replayed here
+        # exactly once per task.  The registry is shipped to the workers
+        # (specs pickle by reference, so runners must be module-level
+        # functions); relying on the worker re-importing DEFAULT_REGISTRY
+        # would drop dynamically registered methods under a spawn start
+        # method.  A context shared by several positions of one task is
+        # pickled once (pickle's memo).
+        remote = backend == "process"
+        cache = None if remote else self.cache
+        if not remote:
+            contexts = {}
+        worker_stats = CacheStats()
         results: Dict[Tuple[int, int], BatchResult] = {}
 
         def record(si: int, mi: int, result: BatchResult) -> None:
@@ -779,13 +626,19 @@ class BatchRunner:
                     if si in contexts
                 },
             )
-            future, task_pool = pool.submit(run_cells, task)
+            future, task_pool = pool.submit(run_cells, task, cache)
             tasks.append([group, task, future, task_pool, False])
 
         n_workers = pool.max_workers
         try:
             in_chains = frozenset(si for chain in chains for si in chain)
-            chunks = self._plan_chunks(systems, n_workers, exclude=in_chains)
+            # Micro-batch chunks amortize process round trips; an in-process
+            # task has none to amortize.
+            chunks = (
+                self._plan_chunks(systems, n_workers, exclude=in_chains)
+                if remote
+                else []
+            )
             in_chunks = {si for chunk in chunks for si in chunk}
             singles = [
                 si for si in range(len(systems))
@@ -810,7 +663,7 @@ class BatchRunner:
                 if self.task_timeout is not None:
                     timeout = self.task_timeout * len(group)
                 try:
-                    outcomes, stats, spans = future.result(timeout=timeout)
+                    outcomes, stats = future.result(timeout=timeout)
                 except FutureTimeoutError:
                     fail(group, timed_out=True)
                     continue
@@ -821,7 +674,7 @@ class BatchRunner:
                     # that breaks the *rebuilt* pool too fails its cells.
                     pool.heal(task_pool)
                     if not retried:
-                        future, task_pool = pool.submit(run_cells, task)
+                        future, task_pool = pool.submit(run_cells, task, cache)
                         tasks.append([group, task, future, task_pool, True])
                         continue
                     fail(group, error=f"{type(error).__name__}: {error}")
@@ -834,29 +687,31 @@ class BatchRunner:
                     # the affected cells, not the whole sweep.
                     fail(group, error=f"{type(error).__name__}: {error}")
                     continue
-                # Exactly one stats merge and one span replay per task: the
-                # task shares one worker cache, so merging its delta once
-                # keeps the factorization / L2 counters exact.
-                merged.merge(stats)
-                tree = JobTrace.from_jsonable(spans)
+                if remote:
+                    worker_stats.merge(stats)
                 # run_cells returns the cells in task order: per system, one
                 # cell per entry of ``methods`` (duplicates stay distinct).
                 cells = iter(outcomes)
                 for si in group:
                     for mi, method in enumerate(methods):
-                        report, seconds, error, cell_spans = next(cells)
-                        tree.merge(JobTrace.from_jsonable(cell_spans))
+                        report, seconds, error, spans = next(cells)
+                        if remote:
+                            observe_span_tree(METRICS, JobTrace.from_jsonable(spans))
                         record(si, mi, BatchResult(si, method, report, seconds, error))
-                observe_span_tree(METRICS, tree)
         finally:
             pool.shutdown()
 
+        # Parent-side counters (the hoisted precompute, and every thread or
+        # serial cell) join the merged worker counters, so the sweep
+        # telemetry stays complete.
+        cache_stats = self.cache.stats.minus(stats_baseline)
+        cache_stats.merge(worker_stats)
         ordered = [results[key] for key in sorted(results)]
         return BatchOutcome(
             results=ordered,
-            cache_stats=merged,
+            cache_stats=cache_stats,
             total_seconds=0.0,
-            backend="process",
+            backend=backend,
             n_workers=n_workers,
             n_batches=len(chunks),
             n_batched_jobs=sum(len(chunk) for chunk in chunks),

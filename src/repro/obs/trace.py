@@ -266,7 +266,7 @@ class use_trace:
 
         trace = JobTrace()
         with use_trace(trace):
-            run_cell(...)          # every trace_span lands in `trace`
+            check_passivity(...)   # every trace_span lands in `trace`
     """
 
     __slots__ = ("trace", "_previous", "_previous_stack")

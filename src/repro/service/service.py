@@ -16,15 +16,14 @@ Architecture
   on that thread, so the service needs no locks of its own.
 * ``max_workers`` worker coroutines pull jobs off an
   :class:`asyncio.PriorityQueue` (priority, then submission order) and
-  execute them on a bounded pool.  With ``executor="thread"`` (default)
-  that is a :class:`~concurrent.futures.ThreadPoolExecutor` driven through
-  :meth:`BatchRunner.run_cell`, the engine's per-cell hook — NumPy releases
+  execute them on a bounded pool: the engine's
+  :class:`~repro.engine.executor.SupervisedPool`, running the same task
+  (:func:`~repro.engine.executor.run_cells`) the batch runner uses.  Every
+  dispatch — one job, or (process executor) a micro-batch of small jobs —
+  is one task.  With ``executor="thread"`` (default) the pool holds
+  threads and the task runs on the runner's shared cache — NumPy releases
   the GIL in the O(n^3) kernels, so threads overlap well.  With
-  ``executor="process"`` it is the engine's
-  :class:`~repro.engine.executor.SupervisedPool`, the same pool and the
-  same process task (:func:`~repro.engine.executor.run_cells`) the batch
-  runner uses.  Every dispatch — one job, or a micro-batch of small jobs —
-  is one task.  The workers boot with a worker-local
+  ``executor="process"`` the workers boot with a worker-local
   :class:`~repro.engine.DecompositionCache` backed by the service's
   persistent store: a system solved by *any* worker — or any prior run
   sharing the store — rehydrates its decompositions from disk and costs
@@ -62,6 +61,7 @@ see :mod:`repro.service.http` for the reference stdlib HTTP front-end.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import os
 import threading
@@ -91,7 +91,7 @@ from repro.exceptions import (
 )
 from repro.obs.log import get_logger
 from repro.obs.metrics import METRICS, observe_span_tree
-from repro.obs.trace import JobTrace, record_span, trace_span, use_trace
+from repro.obs.trace import JobTrace, record_span, trace_span
 from repro.passivity.result import PassivityReport
 from repro.service.jobs import Job, JobHandle, JobState, JobStatus
 from repro.service.journal import JobJournal
@@ -464,7 +464,9 @@ class PassivityService:
         self._max_history = max_history
         self._executor_kind = executor
         self._max_queue = max_queue
-        self._batch_policy = batch_small_systems
+        # Micro-batches amortize process round trips; a thread dispatch has
+        # none to amortize.
+        self._batch_policy = batch_small_systems if executor == "process" else False
         self._small_system_order = int(small_system_order)
         self._max_batch_size = int(max_batch_size)
         self._incremental = bool(incremental)
@@ -493,9 +495,8 @@ class PassivityService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._start_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
-        #: Thread executor (``executor="thread"``) or supervised process
-        #: pool (``executor="process"``); built at startup.
-        self._threads: Optional[ThreadPoolExecutor] = None
+        #: Supervised thread (``executor="thread"``) or process
+        #: (``executor="process"``) pool; built at startup.
         self._pool: Optional[SupervisedPool] = None
         self._queue: Optional["asyncio.PriorityQueue"] = None
         self._worker_tasks: List["asyncio.Task"] = []
@@ -774,8 +775,11 @@ class PassivityService:
                 initargs=(self._store, self._runner.cache.maxsize),
             )
         else:
-            self._threads = ThreadPoolExecutor(
-                max_workers=self._max_workers, thread_name_prefix="repro-service"
+            self._pool = SupervisedPool(
+                max_workers=self._max_workers,
+                executor=functools.partial(
+                    ThreadPoolExecutor, thread_name_prefix="repro-service"
+                ),
             )
         self._last_heartbeat = time.time()
         # Journal replay: accepted-but-unfinished jobs of the previous
@@ -805,16 +809,16 @@ class PassivityService:
 
     @property
     def _executor(self) -> Optional[Any]:
-        """The live executor: the thread pool, or the current process pool."""
-        return self._pool.pool if self._pool is not None else self._threads
+        """The live executor: the current thread or process pool."""
+        return self._pool.pool if self._pool is not None else None
 
     @property
     def _pool_restarts(self) -> int:
-        """Broken process pools torn down so far (0 for threads)."""
+        """Broken pools torn down so far (0 for threads)."""
         return self._pool.restarts if self._pool is not None else 0
 
     def _heal(self, pool: Any) -> None:
-        """Tear down a broken process pool (loop thread only).
+        """Tear down a broken pool (loop thread only).
 
         :meth:`SupervisedPool.heal` is idempotent per pool, so when several
         dispatches observe the same corpse only the first counts a restart.
@@ -823,7 +827,7 @@ class PassivityService:
         if not self._pool.heal(pool):
             return
         get_logger("repro.service").warning(
-            "pool_restart", restarts=self._pool.restarts, executor="process"
+            "pool_restart", restarts=self._pool.restarts, executor=self._executor_kind
         )
         # The service is healing, not dead: restart the staleness clock.
         self._last_heartbeat = time.time()
@@ -906,8 +910,6 @@ class PassivityService:
             # Joins the workers only when no dispatch is still running: a
             # timed-out job's worker cannot be killed and is not waited for.
             self._pool.shutdown()
-        if self._threads is not None:
-            self._threads.shutdown(wait=False, cancel_futures=True)
         if self._journal is not None:
             self._journal.close()
 
@@ -1638,14 +1640,15 @@ class PassivityService:
             self._queue.put_nowait((job.priority, job.seq, job.job_id))
 
     def _ancestor(self, job: Job) -> Any:
-        """Warm-start hint for a process dispatch (loop thread only).
+        """Warm-start hint for a dispatch (loop thread only).
 
         Returns a scenario corner's explicit family root, else the job
         family's latest completed cold-run system, or ``None`` when the
         sweep-aware mode is off or the family is new.  Whether the hint
-        actually warm-starts is decided in the worker: its local (or
-        store-backed) cache must hold the ancestor's decompositions, else
-        the attempt is counted as a fallback and the job runs cold.
+        actually warm-starts is decided where the task runs: its cache (the
+        runner cache for threads, a worker's local or store-backed cache
+        for processes) must hold the ancestor's decompositions, else the
+        attempt is counted as a fallback and the job runs cold.
         """
         if job.ancestor_system is not None:
             return job.ancestor_system
@@ -1654,17 +1657,21 @@ class PassivityService:
         return self._family_latest.get(family_key(job.system))
 
     async def _run_batch(self, jobs: List[Job]) -> None:
-        """Dispatch jobs to the process pool as one task and resolve them.
+        """Dispatch jobs to the pool as one task and resolve them.
 
-        Every process dispatch comes here: a lone job is a group of one, a
-        micro-batch a larger group.  The systems travel as one pickled
-        :func:`~repro.engine.executor.run_cells` payload; the worker
-        returns one outcome per job plus a single cache-counter delta that is
-        merged exactly once.  A timeout resolves every member (they shared
-        one dispatch deadline — a job's timeout budgets *one* job, so the
-        dispatch waits ``len(jobs)`` times that budget).  A dispatch that
-        dies is handled by :meth:`_dispatch_failed`.
+        Every dispatch comes here: a lone job is a group of one, a
+        micro-batch (process executor only) a larger group.  The systems
+        travel as one :func:`~repro.engine.executor.run_cells` task, which
+        returns one outcome per job.  A thread task runs on the runner
+        cache, whose counters and spans it updates at the source.  A process
+        task is pickled to a worker and returns a single cache-counter delta
+        and each cell's span tree, merged and replayed here exactly once.
+        A timeout resolves every member (they shared one dispatch deadline —
+        a job's timeout budgets *one* job, so the dispatch waits
+        ``len(jobs)`` times that budget).  A dispatch that dies is handled
+        by :meth:`_dispatch_failed`.
         """
+        remote = self._executor_kind == "process"
         pool: Any = None
         try:
             cells = [
@@ -1692,9 +1699,9 @@ class PassivityService:
             budget = None if jobs[0].timeout is None else jobs[0].timeout * len(jobs)
             # The pool future (not just its asyncio wrapper) is what a
             # timeout cancels when the dispatch has not started yet.
-            # No cache config rides the payload: every worker runs the
-            # cache init_worker installed (unpickling a store re-reads
-            # its index, which would cost every dispatch).
+            # No cache config rides the payload: a process worker runs the
+            # cache init_worker installed (unpickling a store re-reads its
+            # index, which would cost every dispatch).
             pool_future, pool = self._pool.submit(
                 run_cells,
                 CellTask(
@@ -1703,6 +1710,7 @@ class PassivityService:
                     self._runner.tol,
                     self._runner.registry,
                 ),
+                None if remote else self._runner.cache,
             )
             future = asyncio.wrap_future(pool_future)
             done, pending = await asyncio.wait({future}, timeout=budget)
@@ -1722,22 +1730,20 @@ class PassivityService:
                 )
             return
         try:
-            outcomes, worker_delta, batch_spans = future.result()
+            outcomes, worker_delta = future.result()
         except Exception as error:  # noqa: BLE001 - jobs must resolve
             self._dispatch_failed(jobs, pool, error)
             return
-        self._worker_stats.merge(worker_delta)
         self._last_heartbeat = time.time()
-        # Replay the worker-side spans into the parent's histograms —
-        # shared spans once, each cell's spans once (the same
-        # merge-exactly-once rule as the cache-counter delta).
-        batch_tree = JobTrace.from_jsonable(batch_spans)
-        observe_span_tree(METRICS, batch_tree)
+        if remote:
+            self._worker_stats.merge(worker_delta)
         for job, job_trace, outcome in zip(jobs, job_traces, outcomes):
             report, _seconds, error_message, cell_spans = outcome
             cell_tree = JobTrace.from_jsonable(cell_spans)
-            observe_span_tree(METRICS, cell_tree)
-            job.trace = job_trace.merge(batch_tree).merge(cell_tree).to_jsonable()
+            if remote:
+                # Worker-side spans never reached this process's METRICS.
+                observe_span_tree(METRICS, cell_tree)
+            job.trace = job_trace.merge(cell_tree).to_jsonable()
             if error_message is not None:
                 self._finish(job, JobState.FAILED, error=error_message)
             else:
@@ -1766,14 +1772,13 @@ class PassivityService:
     async def _worker(self) -> None:
         """One worker coroutine: pull jobs, execute on the pool, resolve.
 
-        In process mode every dispatch — one job, or a micro-batch drained
-        behind it — goes through :meth:`_run_batch`.  A dispatch that dies
-        with :class:`~concurrent.futures.BrokenExecutor` (a SIGKILLed or
-        crashed pool worker takes the whole pool down) heals the pool and
-        re-queues its jobs; the next dispatch rebuilds the pool with the
-        same worker bootstrap.
+        Every dispatch — one job, or a micro-batch drained behind it — goes
+        through :meth:`_run_batch`.  A dispatch that dies with
+        :class:`~concurrent.futures.BrokenExecutor` (a SIGKILLed or crashed
+        pool worker takes the whole pool down) heals the pool and re-queues
+        its jobs; the next dispatch rebuilds the pool with the same worker
+        bootstrap.
         """
-        loop = asyncio.get_running_loop()
         while True:
             _, _, job_id = await self._queue.get()
             try:
@@ -1784,79 +1789,10 @@ class PassivityService:
                 job.state = JobState.RUNNING
                 job.started_at = time.time()
                 self._journal_started(job)
-                if self._pool is not None:
-                    extras = self._drain_batch(job) if self._batch_eligible(job) else []
-                    await self._run_batch([job] + extras)
-                    continue
-                # Parent-side trace: queue wait now, the executor-side tree
-                # merged in after the dispatch resolves.  Assigned to the job
-                # before dispatch so the timeout and failure paths still
-                # serve the partial trace.
-                parent_trace = JobTrace()
-                record_span(
-                    "queue.wait",
-                    max(0.0, job.started_at - job.submitted_at),
-                    started_at=job.submitted_at,
-                    trace=parent_trace,
-                )
-                job.trace = parent_trace.to_jsonable()
-                try:
-                    future = loop.run_in_executor(self._threads, self._execute, job)
-                    done, pending = await asyncio.wait(
-                        {future}, timeout=job.timeout
-                    )
-                    if not pending:
-                        cell_outcome, exec_trace = future.result()
-                except Exception as error:  # noqa: BLE001 - keep worker alive
-                    # Scheduling-layer failure (not the method itself): the
-                    # job must still resolve and the worker must survive.
-                    self._finish(
-                        job,
-                        JobState.FAILED,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    continue
-                if pending:
-                    # Best-effort: free the worker slot; the abandoned
-                    # thread cannot be killed and keeps running detached
-                    # (batch-runner semantics).  Swallow its outcome.
-                    future.add_done_callback(_ignore_outcome)
-                    future.cancel()
-                    self._finish(
-                        job,
-                        JobState.TIMED_OUT,
-                        error=f"timed out after {job.timeout:.3g} s",
-                    )
-                    continue
-                # Spans were already observed at close (same process) —
-                # graft, don't replay.
-                job.trace = parent_trace.merge(exec_trace).to_jsonable()
-                if cell_outcome.error is not None:
-                    self._finish(job, JobState.FAILED, error=cell_outcome.error)
-                else:
-                    self._finish(job, JobState.DONE, report=cell_outcome.report)
+                extras = self._drain_batch(job) if self._batch_eligible(job) else []
+                await self._run_batch([job] + extras)
             finally:
                 self._queue.task_done()
-
-    def _execute(self, job: Job):
-        """Run one job's cell on the executor thread (engine hook).
-
-        With sweep-aware dispatch on, the job family's latest cold-run
-        system rides along as the warm-start ancestor; its decompositions
-        sit in the shared runner cache, so the incremental tier resolves
-        them without any payload shipping in thread mode.  Returns the
-        cell outcome together with the execution-side span tree, which the
-        dispatching worker grafts onto the job's parent-side trace.
-        """
-        ancestor = job.ancestor_system
-        if ancestor is None and self._incremental:
-            ancestor = self._family_latest.get(family_key(job.system))
-        exec_trace = JobTrace()
-        with use_trace(exec_trace):
-            outcome = self._runner.run_cell(
-                job.system, job.method, job.options, ancestor=ancestor
-            )
-        return outcome, exec_trace
 
     def _finish(
         self,

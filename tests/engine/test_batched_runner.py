@@ -117,6 +117,9 @@ class TestMicroBatching:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             BatchRunner(batch_small_systems="yes")
+        for size in (0, -3):
+            with pytest.raises(ValueError):
+                BatchRunner(batch_small_systems=True, batch_size=size)
 
 
 class TestTransport:

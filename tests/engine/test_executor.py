@@ -63,7 +63,7 @@ class TestRunCells:
             (0, "weierstrass", {}, None),
             (1, "proposed", {}, None),
         ]
-        outcomes, stats, _ = run_cells(_task([system, system], cells))
+        outcomes, stats = run_cells(_task([system, system], cells))
         assert len(outcomes) == 3
         assert all(report.is_passive for report, _, error, _ in outcomes if error is None)
         assert [error for _, _, error, _ in outcomes] == [None, None, None]
@@ -80,8 +80,8 @@ class TestRunCells:
         task = _task([system], cells, {0: context})
         if pickled:
             task = _pickled(task)
-        cold, cold_stats, _ = run_cells(_task([system], cells))
-        seeded, seeded_stats, _ = run_cells(task)
+        cold, cold_stats = run_cells(_task([system], cells))
+        seeded, seeded_stats = run_cells(task)
         assert cold_stats.factorizations_for(PENCIL_SPECTRUM) == 1
         assert seeded_stats.factorizations_for(PENCIL_SPECTRUM) == 0
         assert seeded[0][0].is_passive == cold[0][0].is_passive
@@ -95,8 +95,8 @@ class TestRunCells:
         received = _pickled(task)
         # Pickle's memo sends the one ancestor object once for all cells.
         assert len({id(cell[3]) for cell in received.cells}) == 1
-        outcomes, _, _ = run_cells(received)
-        reference, _, _ = run_cells(task)
+        outcomes, _ = run_cells(received)
+        reference, _ = run_cells(task)
         assert [error for _, _, error, _ in outcomes] == [None] * len(corners)
         assert [o[0].is_passive for o in outcomes] == [
             r[0].is_passive for r in reference

@@ -322,11 +322,13 @@ class TestSweepQZRegression:
 
     def test_thread_sweep_matches_serial(self):
         family = rlc_grid_corners(4, 4, n_corners=6, scale=2e-4, seed=9)
+        fired = []
         threaded = BatchRunner(
             backend="thread", max_workers=4, incremental="sweep"
-        ).run(family, methods=("gare",))
+        ).run(family, methods=("gare",), progress=fired.append)
         serial = BatchRunner(backend="serial", incremental="sweep").run(
             family, methods=("gare",)
         )
         assert threaded.verdicts() == serial.verdicts()
+        assert sorted(r.system_index for r in fired) == list(range(len(family)))
         assert threaded.n_chains == 1

@@ -119,7 +119,7 @@ class TestContextsInTransit:
         assert len(pickle.dumps(task)) < 1.05 * len(pickle.dumps(single))
         received = _pickled(task)
         assert received.contexts[0] is received.contexts[1]
-        outcomes, stats, _ = run_cells(received)
+        outcomes, stats = run_cells(received)
         assert [error for _, _, error, _ in outcomes] == [None, None]
         assert stats.factorizations_for(PENCIL_SPECTRUM) == 0
 
@@ -136,8 +136,8 @@ class TestAncestorsInTransit:
         task = _task([root, *corners], cells)
         received = _pickled(task)
         assert received.cells[1][3] is received.fleet[0]
-        outcomes, stats, _ = run_cells(received)
-        reference, reference_stats, _ = run_cells(task)
+        outcomes, stats = run_cells(received)
+        reference, reference_stats = run_cells(task)
         assert [error for _, _, error, _ in outcomes] == [None] * len(cells)
         assert stats.incremental_hits == len(corners)
         assert stats.incremental_fallbacks == 0

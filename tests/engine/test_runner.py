@@ -74,10 +74,14 @@ class TestOrderingAndBackends:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             BatchRunner(backend="carrier-pigeon")
+        for backend in ("auto", "thread", "serial"):
+            for bad in ({"max_workers": 0}, {"task_timeout": 0}, {"task_timeout": -1}):
+                with pytest.raises(ValueError):
+                    BatchRunner(backend=backend, **bad)
 
     def test_duplicate_methods_keep_distinct_cells(self, batch_systems):
         # Each occurrence in the method list is its own cell, on every backend.
-        for backend in ("serial", "auto"):
+        for backend in ("serial", "thread", "auto"):
             outcome = BatchRunner(backend=backend, max_workers=2).run(
                 batch_systems[:1], methods=("proposed", "weierstrass", "proposed")
             )
@@ -166,6 +170,25 @@ class TestFailureIsolationAndTimeouts:
             assert not failed.ok
             assert "synthetic failure" in failed.error
         assert outcome.n_failed == 2
+
+    def test_serial_task_starts_after_the_previous_progress_call(self, batch_systems):
+        # The serial backend runs a task when it is collected, so progress
+        # for one system fires before the next system's cell starts.
+        events = []
+        systems = batch_systems[:2]
+
+        def spy(system, tol, cache, **options):
+            events.append(("start", next(i for i, s in enumerate(systems) if s is system)))
+            return PassivityReport(is_passive=True, method="spy")
+
+        registry = MethodRegistry()
+        registry.register(MethodSpec(name="spy", runner=spy, description=""))
+        BatchRunner(backend="serial", registry=registry).run(
+            systems,
+            methods=("spy",),
+            progress=lambda result: events.append(("progress", result.system_index)),
+        )
+        assert events == [("start", 0), ("progress", 0), ("start", 1), ("progress", 1)]
 
     def test_timeout_does_not_block_the_sweep(self, batch_systems):
         runner = BatchRunner(
