@@ -7,13 +7,13 @@ task that does it, :func:`run_cells`, and the one pool every caller submits
 it to, :class:`SupervisedPool`:
 
 * :class:`~repro.engine.runner.BatchRunner` ships a sweep as groups of
-  systems — a micro-batch chunk (process backend only), one piece of a
-  warm-start chain, or a single system as a group of one.  A process task
+  systems — one piece of a warm-start chain, or a single system as a group
+  of one.  A process task
   builds a fresh cache from the runner cache's ``(maxsize, store)``; a
   thread or serial task (:class:`InlineExecutor`) runs on the runner's
   shared cache.
-* :class:`~repro.service.PassivityService` ships each dispatch — one job or a
-  micro-batch of jobs — as one group.  Its process pool runs
+* :class:`~repro.service.PassivityService` ships each job as a one-cell
+  task.  Its process pool runs
   :func:`init_worker` in every worker process, so all tasks of a worker
   share one store-backed cache; its thread pool runs on the runner cache.
 

@@ -44,11 +44,6 @@ The three update mechanisms (tentpole item 2):
   strictly stable (so the iterate is the stabilizing solution the cold
   Hamiltonian-Schur solve would return), else the Riccati solve falls back
   to cold.
-* :func:`continue_hamiltonian_crossings` — imaginary-axis eigenvalue
-  continuation for the crossing scan: when the ancestor Hamiltonian had no
-  imaginary-axis eigenvalues with real-part margin ``m`` and the Hamiltonian
-  delta satisfies ``safety · ||ΔH||_F < m``, the empty crossing set is
-  certified without an eigendecomposition.
 
 :func:`attempt_incremental` orchestrates the full check for the engine's
 ``check_passivity(..., ancestor=...)`` front door and seeds every certified
@@ -102,7 +97,6 @@ __all__ = [
     "DEFAULT_INCREMENTAL_CONFIG",
     "update_spectral_context",
     "warm_start_gare",
-    "continue_hamiltonian_crossings",
     "attempt_incremental",
 ]
 
@@ -355,9 +349,10 @@ class IncrementalConfig:
         one Newton step typically lands near ``1e-8``; tighten this to force
         extra (quadratically converging) steps.
     crossing_safety:
-        Multiplier on ``||ΔH||_F`` in the Hamiltonian imaginary-axis
-        continuation; the ancestor's real-part margin must exceed
-        ``crossing_safety × ||ΔH||_F`` to certify an empty crossing set.
+        Multiplier on the closed-loop drift in the Riccati warm start's
+        stability continuation; the ancestor's real-part margin must exceed
+        ``crossing_safety × drift`` to certify the closed loop stable
+        without an eigendecomposition.
     max_distance:
         Largest structured delta distance an ancestor lookup will consider
         (``None`` disables the gate; the certification still protects
@@ -745,8 +740,7 @@ def warm_start_gare(
     the ancestor's certificate *rotated into this state space's basis*; when
     the margin exceeds ``crossing_safety`` times the closed-loop drift the
     final stability check is certified by eigenvalue continuation instead of
-    a fresh eigendecomposition (the same argument
-    :func:`continue_hamiltonian_crossings` applies to the crossing scan).
+    a fresh eigendecomposition.
 
     Returns ``(certificate, newton_steps)`` or ``None`` (fall back to cold).
     """
@@ -850,46 +844,6 @@ def warm_start_gare(
         ),
         steps,
     )
-
-
-# ----------------------------------------------------------------------
-# Mechanism 3: Hamiltonian imaginary-axis eigenvalue continuation
-# ----------------------------------------------------------------------
-def continue_hamiltonian_crossings(
-    ancestor_hamiltonian: np.ndarray,
-    ancestor_eigenvalues: np.ndarray,
-    new_hamiltonian: np.ndarray,
-    tol: Optional[Tolerances] = None,
-    config: IncrementalConfig = DEFAULT_INCREMENTAL_CONFIG,
-) -> Optional[np.ndarray]:
-    """Certify an empty imaginary-axis crossing set by eigenvalue continuation.
-
-    When the ancestor Hamiltonian's spectrum kept a real-part margin ``m``
-    from the imaginary axis and ``crossing_safety · ||ΔH||_F < m``, no
-    eigenvalue of the perturbed Hamiltonian can have reached the axis, so
-    the empty crossing set is certified without an eigendecomposition.
-    Returns the (empty) crossing array on success, ``None`` when the
-    ancestor had crossings, the margin is too small, or the shapes differ —
-    the caller then recomputes the scan cold.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    anc = np.asarray(ancestor_hamiltonian, dtype=float)
-    new = np.asarray(new_hamiltonian, dtype=float)
-    if anc.shape != new.shape or anc.size == 0:
-        return None
-    eigenvalues = np.asarray(ancestor_eigenvalues, dtype=complex)
-    if eigenvalues.size == 0:
-        return None
-    threshold = tol.eig_imag_atol * matrix_scale(new)
-    margins = np.abs(eigenvalues.real) - threshold
-    margin = float(np.min(margins))
-    if margin <= 0.0:
-        # The ancestor itself had (numerical) crossings — nothing to continue.
-        return None
-    delta_norm = float(np.linalg.norm(new - anc))
-    if config.crossing_safety * delta_norm >= margin:
-        return None
-    return np.zeros(0, dtype=complex)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,7 @@ were shared.
 
 Every backend runs the same plan and the same collection loop: one
 :func:`~repro.engine.executor.run_cells` task per *group* of systems — one
-piece of a warm-start chain, a micro-batch chunk (process backend only), or
-a single system as a group of one — on a
+piece of a warm-start chain, or a single system as a group of one — on a
 :class:`~repro.engine.executor.SupervisedPool`.  A task runs all requested
 methods on its group through one :class:`DecompositionCache`, so per-system
 intermediates are shared across methods.  The backend only picks the pool.
@@ -26,10 +25,8 @@ Backends
     qualifies.  When the runner's cache has a persistent store attached, the
     store is shipped along (workers re-open the same root) so worker-local
     caches share decompositions through the L2 tier as well.  Every payload
-    (systems, spectral contexts) travels through the pool's pickle pipe.
-    Small dense systems are micro-batched several-per-task
-    (``batch_small_systems`` knob) so dispatch overhead amortizes.  A worker
-    crash rebuilds the pool and resubmits each interrupted task once.
+    (systems, spectral contexts) travels through the pool's pickle pipe.  A
+    worker crash rebuilds the pool and resubmits each interrupted task once.
 ``"thread"``
     A thread pool; every task runs on the runner's shared cache.  NumPy
     releases the GIL in the O(n^3) kernels, so threads overlap well.
@@ -133,10 +130,6 @@ class BatchOutcome:
     total_seconds: float
     backend: str
     n_workers: int
-    #: Micro-batch telemetry: number of multi-system worker cells and the
-    #: number of jobs that rode them (0 when the policy stayed off).
-    n_batches: int = 0
-    n_batched_jobs: int = 0
     #: Always 0: every payload rides the pickle pipe.  Kept because the
     #: benchmark's traced runs still read it.
     shm_bytes: int = 0
@@ -151,13 +144,6 @@ class BatchOutcome:
     #: tasks are resubmitted once to the replacement pool before their
     #: cells are marked failed.
     pool_restarts: int = 0
-
-    @property
-    def batch_occupancy(self) -> float:
-        """Mean jobs per micro-batch cell (0.0 when nothing was batched)."""
-        if self.n_batches == 0:
-            return 0.0
-        return self.n_batched_jobs / self.n_batches
 
     def by_system(self, system_index: int) -> List[BatchResult]:
         """All cells of one system, in requested-method order."""
@@ -197,10 +183,10 @@ def _fill_idle_workers(
 ) -> List[List[int]]:
     """Split warm-start chains into pieces until every pool worker has a task.
 
-    While the chain pieces plus ``n_other_tasks`` (micro-batch chunks and
-    single cells) number fewer than ``n_workers``, the longest piece with at
-    least three members is cut into two contiguous halves of its delta walk,
-    the shorter half first.  Both halves lead with the chain's root:
+    While the chain pieces plus ``n_other_tasks`` (single systems) number
+    fewer than ``n_workers``, the longest piece with at least three members
+    is cut into two contiguous halves of its delta walk, the shorter half
+    first.  Both halves lead with the chain's root:
     successors warm-start from the cache's nearest ``PENCIL_SPECTRUM`` entry,
     which only a cold factorization seeds, so a piece led by a perturbed
     corner would see most of its successors refuse the update and fall back
@@ -241,8 +227,8 @@ class BatchRunner:
         Pool size, at least 1 (default: executor's choice).
     task_timeout:
         Best-effort per-task timeout in seconds, positive (``None``
-        disables).  The budget is per *system*: a task of ``k`` systems is
-        waited on for ``k * task_timeout``.
+        disables).  The budget is per *system*: a chain piece of ``k``
+        systems is waited on for ``k * task_timeout``.
     backend:
         ``"auto"``, ``"process"``, ``"thread"`` or ``"serial"``.
     tol:
@@ -263,23 +249,6 @@ class BatchRunner:
         when no requested method would consult the spectral cache (e.g. a
         pure-LMI sweep, or every spectral method refusing on its order
         limit).
-    batch_small_systems:
-        Micro-batch policy of the ``"process"`` backend.  Small dense
-        systems (order ≤ ``small_system_order``) are grouped several-per
-        worker cell, amortizing process round trips that otherwise dominate
-        small-job sweeps.  ``"auto"`` (default) enables grouping only when
-        the sweep holds enough small systems to matter
-        (``>= max(8, 2 * workers)``); ``True`` / ``False`` force the policy.
-        The per-task timeout covers a whole chunk, and a chunk shares one
-        worker-local cache (its stats merge once per chunk, keeping the
-        counters exact).
-    small_system_order:
-        Largest order still considered "small" for the batching policy
-        (default 100 — where per-job numerical work stops dominating the
-        process round trip).
-    batch_size:
-        Jobs per micro-batch chunk, at least 1; default sizes chunks to
-        roughly two waves per worker, capped at 32.
     incremental:
         Sweep-mode warm starting (default ``"off"``).  With ``"sweep"``,
         dense systems of identical shape are grouped into perturbation
@@ -310,9 +279,6 @@ class BatchRunner:
         backend: str = "auto",
         tol: Optional[Tolerances] = None,
         precompute_spectral: bool = True,
-        batch_small_systems: Any = "auto",
-        small_system_order: int = 100,
-        batch_size: Optional[int] = None,
         incremental: str = "off",
     ) -> None:
         if backend not in ("auto", "process", "thread", "serial"):
@@ -321,17 +287,10 @@ class BatchRunner:
             raise ValueError(
                 f"incremental must be 'off' or 'sweep', got {incremental!r}"
             )
-        if batch_small_systems not in ("auto", True, False):
-            raise ValueError(
-                f"batch_small_systems must be 'auto', True or False, "
-                f"got {batch_small_systems!r}"
-            )
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be at least 1, got {max_workers!r}")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {task_timeout!r}")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
         self.registry = registry or DEFAULT_REGISTRY
         self.cache = cache if cache is not None else DecompositionCache()
         self.max_workers = max_workers
@@ -339,9 +298,6 @@ class BatchRunner:
         self.backend = backend
         self.tol = tol or DEFAULT_TOLERANCES
         self.precompute_spectral = precompute_spectral
-        self.batch_small_systems = batch_small_systems
-        self.small_system_order = int(small_system_order)
-        self.batch_size = batch_size
         self.incremental = incremental
 
     # ------------------------------------------------------------------
@@ -524,41 +480,6 @@ class BatchRunner:
         return outcome
 
     # ------------------------------------------------------------------
-    def _plan_chunks(
-        self,
-        systems: List[DescriptorSystem],
-        n_workers: int,
-        exclude: frozenset = frozenset(),
-    ) -> List[List[int]]:
-        """Group small dense systems into micro-batch chunks.
-
-        Returns a list of chunks (system-index lists); empty when the policy
-        is off or the sweep is too small to benefit.  ``"auto"`` demands
-        enough small systems for grouping to beat per-system dispatch
-        (``>= max(8, 2 * workers)``); forced ``True`` batches whatever small
-        systems exist.  Chunk size targets roughly two waves per worker so
-        the pool stays load-balanced, capped at 32 jobs per chunk so one
-        slow chunk cannot serialize the sweep.  ``exclude`` removes systems
-        already claimed by sweep-mode chains (which ship as their own
-        chunks).
-        """
-        policy = self.batch_small_systems
-        if policy is False:
-            return []
-        small = [
-            si for si, system in enumerate(systems)
-            if si not in exclude
-            and not system.is_sparse
-            and system.order <= self.small_system_order
-        ]
-        if not small:
-            return []
-        if policy == "auto" and len(small) < max(8, 2 * n_workers):
-            return []
-        size = self.batch_size or max(1, min(32, -(-len(small) // (2 * n_workers))))
-        return [small[k : k + size] for k in range(0, len(small), size)]
-
-    # ------------------------------------------------------------------
     def _run_tasks(
         self,
         pool: SupervisedPool,
@@ -572,7 +493,7 @@ class BatchRunner:
         progress: Optional[Callable[[BatchResult], None]] = None,
     ) -> BatchOutcome:
         # Every task is one run_cells call on a group of systems: a chain
-        # piece, a micro-batch chunk or a single system as a group of one.
+        # piece or a single system as a group of one.
         # The task's one cache shares per-system intermediates across
         # methods.  Thread and serial tasks run on the runner's cache, which
         # already holds the precomputed spectral contexts, and count their
@@ -631,33 +552,19 @@ class BatchRunner:
 
         n_workers = pool.max_workers
         try:
-            in_chains = frozenset(si for chain in chains for si in chain)
-            # Micro-batch chunks amortize process round trips; an in-process
-            # task has none to amortize.
-            chunks = (
-                self._plan_chunks(systems, n_workers, exclude=in_chains)
-                if remote
-                else []
-            )
-            in_chunks = {si for chunk in chunks for si in chunk}
-            singles = [
-                si for si in range(len(systems))
-                if si not in in_chunks and si not in in_chains
-            ]
-            pieces = _fill_idle_workers(chains, len(chunks) + len(singles), n_workers)
-            for piece in pieces:
+            in_chains = {si for chain in chains for si in chain}
+            singles = [si for si in range(len(systems)) if si not in in_chains]
+            for piece in _fill_idle_workers(chains, len(singles), n_workers):
                 # One task per piece, in delta order: the task's one cache
                 # makes position 0 the cold root and every later position an
                 # "auto" warm start against it.
                 enqueue(piece, "auto")
-            for chunk in chunks:
-                enqueue(chunk, None)
             for si in singles:
                 enqueue([si], None)
             while tasks:
                 group, task, future, task_pool, retried = tasks.popleft()
-                # task_timeout budgets *one system's* worth of work; a task
-                # bundling several systems is waited on for that many
+                # task_timeout budgets *one system's* worth of work; a chain
+                # piece of several systems is waited on for that many
                 # budgets, so a caller's tuned timeout keeps its meaning.
                 timeout = None
                 if self.task_timeout is not None:
@@ -713,8 +620,6 @@ class BatchRunner:
             total_seconds=0.0,
             backend=backend,
             n_workers=n_workers,
-            n_batches=len(chunks),
-            n_batched_jobs=sum(len(chunk) for chunk in chunks),
             n_chains=len(chains),
             n_chained_jobs=sum(len(chain) for chain in chains),
             pool_restarts=pool.restarts,

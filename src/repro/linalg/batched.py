@@ -6,8 +6,7 @@ work.  NumPy's linalg gufuncs accept leading batch dimensions — a
 ``(k, n, n)`` stack runs all ``k`` factorizations inside **one** GIL-releasing
 LAPACK region, with one Python call's worth of dispatch overhead for the whole
 batch.  This module collects the stacked kernels the vectorized hot loops
-(frequency-grid sampling, Hamiltonian crossing probes, micro-batched
-execution) are built on.
+(frequency-grid sampling, Hamiltonian crossing probes) are built on.
 
 Every kernel applies the *same* LAPACK routine to each slice that the
 per-matrix NumPy call would use, so results are bitwise identical to a Python

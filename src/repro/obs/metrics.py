@@ -391,7 +391,7 @@ def observe_span_tree(registry: MetricsRegistry, trace: Any) -> None:
     In-process spans feed :data:`METRICS` directly as they close; spans
     recorded inside a *worker process* only exist as a returned tree, so
     the parent replays them here — once per returned tree, mirroring the
-    exactly-one-``CacheStats``-merge-per-chunk rule.  Accepts a
+    exactly-one-``CacheStats``-merge-per-task rule.  Accepts a
     :class:`~repro.obs.trace.JobTrace` or ``None`` (no-op).
     """
     if trace is None:

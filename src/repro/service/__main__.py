@@ -74,27 +74,6 @@ def main(argv=None) -> int:
         help="LRU size budget of --store in bytes (unset: unbounded)",
     )
     parser.add_argument(
-        "--batch-small-systems",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="micro-batch waiting small dense jobs several-per-worker "
-        "dispatch (process executor only)",
-    )
-    parser.add_argument(
-        "--small-system-order",
-        type=int,
-        default=100,
-        metavar="N",
-        help="largest system order the micro-batch policy treats as small",
-    )
-    parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help="most jobs one micro-batch dispatch may carry",
-    )
-    parser.add_argument(
         "--incremental",
         action="store_true",
         help="sweep-aware dispatch: same-family jobs warm-start from the "
@@ -158,16 +137,12 @@ def main(argv=None) -> int:
         from repro.store import DecompositionStore
 
         store = DecompositionStore(args.store, size_budget=args.store_budget)
-    batch_policy = {"auto": "auto", "on": True, "off": False}[args.batch_small_systems]
     service = PassivityService(
         max_workers=args.workers,
         default_timeout=args.job_timeout,
         executor=args.executor,
         max_queue=args.max_queue,
         store=store,
-        batch_small_systems=batch_policy,
-        small_system_order=args.small_system_order,
-        max_batch_size=args.max_batch_size,
         incremental=args.incremental,
         journal=args.journal,
         max_retries=args.max_retries,

@@ -144,9 +144,6 @@ class Job:
     followers: List[str] = field(default_factory=list)
     #: Re-queues consumed from the broken-pool retry budget.
     retries: int = 0
-    #: Set when the job survived a failed batch dispatch: it must be
-    #: re-dispatched as a singleton, never drafted into another batch.
-    no_batch: bool = False
     #: Owning scenario id and cell index for scenario-expanded cells
     #: (``None`` for plain submissions).  Scenario cells bypass dedup
     #: coalescing so every cell resolves through the scenario hooks.

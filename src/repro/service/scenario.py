@@ -12,8 +12,8 @@ citizen:
   (:func:`scenario_to_jsonable` / :func:`scenario_from_jsonable`).
 * :meth:`ScenarioSpec.expand` turns the spec into per-corner
   :class:`ScenarioCell` work items **server-side**; the service dispatches
-  them through its existing priority queue (so dedup, micro-batching and
-  the process pool all apply unchanged) with
+  them through its existing priority queue (so dedup and the process pool
+  apply unchanged) with
   *incremental ancestor chaining*: the family root runs cold first, and
   every other corner warm-starts from it through the perturbation-aware
   incremental tier.
@@ -195,6 +195,11 @@ class ScenarioSpec:
                 )
         if self.family == "corners" and self.n_corners < 1:
             raise DimensionError("n_corners must be at least 1")
+        if self.timeout is not None and not self.timeout > 0:
+            # ``not > 0`` rejects NaN too.
+            raise DimensionError(
+                f"timeout must be positive (or None), got {self.timeout!r}"
+            )
         if self.family == "frequency_sweep":
             if self.n_bands < 1:
                 raise DimensionError("n_bands must be at least 1")

@@ -19,8 +19,7 @@ Architecture
   execute them on a bounded pool: the engine's
   :class:`~repro.engine.executor.SupervisedPool`, running the same task
   (:func:`~repro.engine.executor.run_cells`) the batch runner uses.  Every
-  dispatch — one job, or (process executor) a micro-batch of small jobs —
-  is one task.  With ``executor="thread"`` (default) the pool holds
+  dispatch is one job in a one-cell task.  With ``executor="thread"`` (default) the pool holds
   threads and the task runs on the runner's shared cache — NumPy releases
   the GIL in the O(n^3) kernels, so threads overlap well.  With
   ``executor="process"`` the workers boot with a worker-local
@@ -156,13 +155,10 @@ class ServiceStats:
         The execution mode, ``"thread"`` or ``"process"``.
     queue_capacity:
         The configured ``max_queue`` bound (``None`` when unbounded).
-    batches / batched_jobs / batch_occupancy:
-        Micro-batch telemetry: multi-job worker dispatches, the jobs that
-        rode them, and the mean jobs per dispatch (0.0 when the policy
-        never engaged).
-    shm_bytes:
-        Always 0: every process payload rides the pickle pipe.  Kept
-        because the benchmark's traced runs still read it.
+    batches / batched_jobs / batch_occupancy / shm_bytes:
+        Always 0: every dispatch carries one job, and every process payload
+        rides the pickle pipe.  Kept because the benchmark reads them on
+        every run and ``GET /stats`` serves them.
     pool_restarts:
         Times the supervised process pool was torn down and rebuilt after a
         worker crash (:class:`~concurrent.futures.process.BrokenProcessPool`);
@@ -271,8 +267,8 @@ class PassivityService:
     max_workers:
         Bound of the worker pool (default 2).
     default_timeout:
-        Per-job timeout in seconds applied when ``submit`` does not override
-        it (``None`` disables).
+        Per-job timeout in seconds, positive, applied when ``submit`` does
+        not override it (``None`` disables).
     dedup:
         When true (default), identical in-flight submissions — same system
         fingerprint, method and options — are coalesced onto one execution.
@@ -301,21 +297,6 @@ class PassivityService:
         of every process-mode worker cache, and used to persist completed
         jobs: on construction the service rehydrates its terminal-job
         history from the store, so results survive a restart.
-    batch_small_systems:
-        Micro-batch policy of the process executor.  When on, a worker
-        draining the queue groups up to ``max_batch_size`` waiting small
-        dense jobs (order ≤ ``small_system_order``, equal timeouts) into
-        one pool dispatch, amortizing process round trips under small-job
-        floods; each batch runs through one worker cache whose counter
-        delta merges once (exact telemetry).  ``"auto"`` (default) and
-        ``True`` enable the policy for the process executor, ``False``
-        disables it.  Batch occupancy is reported by :meth:`stats`.
-    small_system_order:
-        Largest order still considered "small" for the batching policy
-        (default 100).
-    max_batch_size:
-        Most jobs one micro-batch dispatch may carry (default 8; the batch
-        also never exceeds what is actually waiting in the queue).
     incremental:
         Sweep-aware dispatch (default False).  When on, the service tracks
         the most recent *completed* system of each perturbation family
@@ -391,9 +372,6 @@ class PassivityService:
         executor: str = "thread",
         max_queue: Optional[int] = None,
         store: Optional[Any] = None,
-        batch_small_systems: Any = "auto",
-        small_system_order: int = 100,
-        max_batch_size: int = 8,
         incremental: bool = False,
         journal: Any = None,
         max_retries: int = 1,
@@ -414,13 +392,10 @@ class PassivityService:
             )
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be at least 1 (or None for unbounded)")
-        if batch_small_systems not in ("auto", True, False):
+        if default_timeout is not None and not default_timeout > 0:
             raise ValueError(
-                f"batch_small_systems must be 'auto', True or False, "
-                f"got {batch_small_systems!r}"
+                f"default_timeout must be positive (or None), got {default_timeout!r}"
             )
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
         if max_retries < 0:
             raise ValueError("max_retries must be at least 0")
         if probe_interval <= 0:
@@ -464,11 +439,6 @@ class PassivityService:
         self._max_history = max_history
         self._executor_kind = executor
         self._max_queue = max_queue
-        # Micro-batches amortize process round trips; a thread dispatch has
-        # none to amortize.
-        self._batch_policy = batch_small_systems if executor == "process" else False
-        self._small_system_order = int(small_system_order)
-        self._max_batch_size = int(max_batch_size)
         self._incremental = bool(incremental)
         #: family key -> most recent *completed* system: the warm-start
         #: ancestor handed to later same-family jobs (loop thread only).
@@ -518,8 +488,6 @@ class PassivityService:
         self._n_timed_out = 0
         self._n_deduplicated = 0
         self._n_rejected = 0
-        self._n_batches = 0
-        self._n_batched_jobs = 0
         self._n_retried = 0
         self._n_replayed = 0
         self._n_scenarios = 0
@@ -967,7 +935,8 @@ class PassivityService:
         priority:
             Lower values run first; ties run in submission order.
         timeout:
-            Per-job timeout in seconds, overriding the service default.
+            Per-job timeout in seconds, positive, overriding the service
+            default.
         **options:
             Forwarded to the method runner (e.g. ``order_limit=None``).
 
@@ -996,6 +965,9 @@ class PassivityService:
                 f"timeout must be a number of seconds or None, "
                 f"got {type(timeout).__name__}"
             )
+        if timeout is not None and not timeout > 0:
+            # ``not > 0`` rejects NaN too.
+            raise ValueError(f"timeout must be positive (or None), got {timeout!r}")
         if method != "auto":
             # Resolve eagerly so unknown methods fail the submission, and
             # coalesce aliases onto the canonical name for dedup identity.
@@ -1571,74 +1543,6 @@ class PassivityService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _batch_eligible(self, job: Job) -> bool:
-        """True when the job may ride a micro-batch dispatch."""
-        if self._batch_policy is False:
-            return False
-        if job.no_batch:
-            # Survivor of a failed batch dispatch: it must run as a
-            # singleton so one poison member cannot re-kill the group.
-            return False
-        system = job.system
-        return (
-            system is not None
-            and not system.is_sparse
-            and system.order <= self._small_system_order
-        )
-
-    def _drain_batch(self, primary: Job) -> List[Job]:
-        """Opportunistically pull more batchable jobs off the queue.
-
-        Called on the loop thread with ``primary`` already RUNNING.  Only
-        jobs that are themselves batch-eligible *and* share the primary's
-        timeout join (one pool dispatch has one deadline).  The queue yields
-        strictly in ``(priority, seq)`` order, so draining stops at the
-        first live job that cannot join: skipping past it would let
-        lower-priority batchable jobs execute ahead of it (priority
-        inversion under mixed workloads).  The stopper is reinserted with
-        its original tuple, keeping its position; ghost tuples of cancelled
-        jobs are consumed here.  Joined jobs transition to RUNNING, and
-        their queue bookkeeping (``task_done``) is settled immediately:
-        ownership moves to the batch.
-        """
-        extras: List[Job] = []
-        while len(extras) + 1 < self._max_batch_size:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            _, _, other_id = item
-            other = self._jobs.get(other_id)
-            if other is None or other.state is not JobState.QUEUED:
-                self._queue.task_done()  # ghost: consume it here
-                continue
-            if not (self._batch_eligible(other) and other.timeout == primary.timeout):
-                self._queue.task_done()
-                self._queue.put_nowait(item)
-                break
-            self._n_queued -= 1
-            other.state = JobState.RUNNING
-            other.started_at = time.time()
-            self._queue.task_done()
-            extras.append(other)
-        return extras
-
-    def _requeue_individually(self, jobs: List[Job]) -> None:
-        """Return a failed batch's members to the queue as singletons.
-
-        Blast-radius containment: the batch's shared dispatch died (crash,
-        unpicklable payload), so each member is re-dispatched on its own
-        (``no_batch``) — the poison member fails alone with its own error
-        and the innocent members complete normally.
-        """
-        for job in jobs:
-            job.no_batch = True
-            job.state = JobState.QUEUED
-            job.started_at = None
-            job.trace = None  # the next dispatch rebuilds it from scratch
-            self._n_queued += 1
-            self._queue.put_nowait((job.priority, job.seq, job.job_id))
-
     def _ancestor(self, job: Job) -> Any:
         """Warm-start hint for a dispatch (loop thread only).
 
@@ -1656,47 +1560,31 @@ class PassivityService:
             return None
         return self._family_latest.get(family_key(job.system))
 
-    async def _run_batch(self, jobs: List[Job]) -> None:
-        """Dispatch jobs to the pool as one task and resolve them.
+    async def _run_job(self, job: Job) -> None:
+        """Dispatch one job to the pool as a one-cell task and resolve it.
 
-        Every dispatch comes here: a lone job is a group of one, a
-        micro-batch (process executor only) a larger group.  The systems
-        travel as one :func:`~repro.engine.executor.run_cells` task, which
-        returns one outcome per job.  A thread task runs on the runner
-        cache, whose counters and spans it updates at the source.  A process
-        task is pickled to a worker and returns a single cache-counter delta
-        and each cell's span tree, merged and replayed here exactly once.
-        A timeout resolves every member (they shared one dispatch deadline —
-        a job's timeout budgets *one* job, so the dispatch waits
-        ``len(jobs)`` times that budget).  A dispatch that dies is handled
-        by :meth:`_dispatch_failed`.
+        The job travels as one :func:`~repro.engine.executor.run_cells`
+        task.  A thread task runs on the runner cache, whose counters and
+        spans it updates at the source.  A process task is pickled to a
+        worker and returns its cache-counter delta and the cell's span tree,
+        merged and replayed here exactly once.  The dispatch is waited on
+        for ``job.timeout``; a dispatch that dies is handled by
+        :meth:`_dispatch_failed`.
         """
         remote = self._executor_kind == "process"
         pool: Any = None
         try:
-            cells = [
-                (position, job.method, dict(job.options), self._ancestor(job))
-                for position, job in enumerate(jobs)
-            ]
-            if len(jobs) > 1:
-                self._n_batches += 1
-                self._n_batched_jobs += len(jobs)
-            # Parent-side trace per member: the queue wait.  Assigned
-            # before the dispatch so the timeout path still serves a
-            # (partial) trace.
-            job_traces: List[JobTrace] = []
-            for job in jobs:
-                parent_trace = JobTrace()
-                if job.started_at is not None:
-                    record_span(
-                        "queue.wait",
-                        max(0.0, job.started_at - job.submitted_at),
-                        started_at=job.submitted_at,
-                        trace=parent_trace,
-                    )
-                job.trace = parent_trace.to_jsonable()
-                job_traces.append(parent_trace)
-            budget = None if jobs[0].timeout is None else jobs[0].timeout * len(jobs)
+            # Parent-side trace: the queue wait.  Assigned before the
+            # dispatch so the timeout path still serves a (partial) trace.
+            parent_trace = JobTrace()
+            if job.started_at is not None:
+                record_span(
+                    "queue.wait",
+                    max(0.0, job.started_at - job.submitted_at),
+                    started_at=job.submitted_at,
+                    trace=parent_trace,
+                )
+            job.trace = parent_trace.to_jsonable()
             # The pool future (not just its asyncio wrapper) is what a
             # timeout cancels when the dispatch has not started yet.
             # No cache config rides the payload: a process worker runs the
@@ -1705,79 +1593,67 @@ class PassivityService:
             pool_future, pool = self._pool.submit(
                 run_cells,
                 CellTask(
-                    [job.system for job in jobs],
-                    cells,
+                    [job.system],
+                    [(0, job.method, dict(job.options), self._ancestor(job))],
                     self._runner.tol,
                     self._runner.registry,
                 ),
                 None if remote else self._runner.cache,
             )
             future = asyncio.wrap_future(pool_future)
-            done, pending = await asyncio.wait({future}, timeout=budget)
+            done, pending = await asyncio.wait({future}, timeout=job.timeout)
         except Exception as error:  # noqa: BLE001 - keep worker alive
-            self._dispatch_failed(jobs, pool, error)
+            self._dispatch_failed(job, pool, error)
             return
         if pending:
             # A started dispatch cannot be killed: swallow its outcome
             # and cancel it in case it never started.
             future.add_done_callback(_ignore_outcome)
             pool_future.cancel()
-            for job in jobs:
-                self._finish(
-                    job,
-                    JobState.TIMED_OUT,
-                    error=f"timed out after {budget:.3g} s",
-                )
+            self._finish(
+                job, JobState.TIMED_OUT, error=f"timed out after {job.timeout:.3g} s"
+            )
             return
         try:
-            outcomes, worker_delta = future.result()
-        except Exception as error:  # noqa: BLE001 - jobs must resolve
-            self._dispatch_failed(jobs, pool, error)
+            (outcome,), worker_delta = future.result()
+        except Exception as error:  # noqa: BLE001 - the job must resolve
+            self._dispatch_failed(job, pool, error)
             return
         self._last_heartbeat = time.time()
+        report, _seconds, error_message, cell_spans = outcome
+        cell_tree = JobTrace.from_jsonable(cell_spans)
         if remote:
+            # Worker-side counters and spans never reached this process.
             self._worker_stats.merge(worker_delta)
-        for job, job_trace, outcome in zip(jobs, job_traces, outcomes):
-            report, _seconds, error_message, cell_spans = outcome
-            cell_tree = JobTrace.from_jsonable(cell_spans)
-            if remote:
-                # Worker-side spans never reached this process's METRICS.
-                observe_span_tree(METRICS, cell_tree)
-            job.trace = job_trace.merge(cell_tree).to_jsonable()
-            if error_message is not None:
-                self._finish(job, JobState.FAILED, error=error_message)
-            else:
-                self._finish(job, JobState.DONE, report=report)
-
-    def _dispatch_failed(self, jobs: List[Job], pool: Any, error: Exception) -> None:
-        """Resolve the jobs of a process dispatch that returned no cells.
-
-        A broken pool is healed first.  A micro-batch's members are re-queued
-        as singletons (:meth:`_requeue_individually`), so only an actually
-        poison job ends up carrying the error.  A lone job whose pool broke
-        is retried within its budget (:meth:`_retry_or_fail`); any other
-        failure of a lone job (an unpicklable payload, ...) fails it.
-        """
-        broken = isinstance(error, BrokenExecutor)
-        if broken:
-            self._heal(pool)
-        message = f"{type(error).__name__}: {error}"
-        if len(jobs) > 1:
-            self._requeue_individually(jobs)
-        elif broken:
-            self._retry_or_fail(jobs[0], message)
+            observe_span_tree(METRICS, cell_tree)
+        job.trace = parent_trace.merge(cell_tree).to_jsonable()
+        if error_message is not None:
+            self._finish(job, JobState.FAILED, error=error_message)
         else:
-            self._finish(jobs[0], JobState.FAILED, error=message)
+            self._finish(job, JobState.DONE, report=report)
+
+    def _dispatch_failed(self, job: Job, pool: Any, error: Exception) -> None:
+        """Resolve a job whose dispatch returned no cell.
+
+        A broken pool is healed, then the job is retried within its budget
+        (:meth:`_retry_or_fail`); any other failure (an unpicklable
+        payload, ...) fails the job.
+        """
+        message = f"{type(error).__name__}: {error}"
+        if isinstance(error, BrokenExecutor):
+            self._heal(pool)
+            self._retry_or_fail(job, message)
+        else:
+            self._finish(job, JobState.FAILED, error=message)
 
     async def _worker(self) -> None:
         """One worker coroutine: pull jobs, execute on the pool, resolve.
 
-        Every dispatch — one job, or a micro-batch drained behind it — goes
-        through :meth:`_run_batch`.  A dispatch that dies with
-        :class:`~concurrent.futures.BrokenExecutor` (a SIGKILLed or crashed
-        pool worker takes the whole pool down) heals the pool and re-queues
-        its jobs; the next dispatch rebuilds the pool with the same worker
-        bootstrap.
+        Every dispatch goes through :meth:`_run_job`.  A dispatch that dies
+        with :class:`~concurrent.futures.BrokenExecutor` (a SIGKILLed or
+        crashed pool worker takes the whole pool down) heals the pool and
+        re-queues its job; the next dispatch rebuilds the pool with the
+        same worker bootstrap.
         """
         while True:
             _, _, job_id = await self._queue.get()
@@ -1789,8 +1665,7 @@ class PassivityService:
                 job.state = JobState.RUNNING
                 job.started_at = time.time()
                 self._journal_started(job)
-                extras = self._drain_batch(job) if self._batch_eligible(job) else []
-                await self._run_batch([job] + extras)
+                await self._run_job(job)
             finally:
                 self._queue.task_done()
 
@@ -2210,10 +2085,9 @@ class PassivityService:
             # Recomputed from the job table at snapshot time, not read from
             # the running _n_queued tally: the tally tracks only jobs that
             # occupy asyncio-queue slots (the max_queue currency), so it
-            # goes stale mid batch-drain handoffs and never counts held
-            # scenario corners — both of which *are* waiting work.  (It is
-            # also not queue.qsize(): the asyncio queue can hold ghost
-            # tuples for already-cancelled jobs.)
+            # never counts held scenario corners, which *are* waiting work.
+            # (It is also not queue.qsize(): the asyncio queue can hold
+            # ghost tuples for already-cancelled jobs.)
             queue_depth=sum(
                 1
                 for job in self._jobs.values()
@@ -2233,11 +2107,6 @@ class PassivityService:
             throughput_per_second=self._n_completed / uptime if uptime > 0 else 0.0,
             executor=self._executor_kind,
             queue_capacity=self._max_queue,
-            batches=self._n_batches,
-            batched_jobs=self._n_batched_jobs,
-            batch_occupancy=(
-                self._n_batched_jobs / self._n_batches if self._n_batches else 0.0
-            ),
             pool_restarts=self._pool_restarts,
             retried=self._n_retried,
             replayed=self._n_replayed,

@@ -1,9 +1,8 @@
-"""Micro-batch execution and pickled payloads of the process backend.
+"""Chain pieces and pickled payloads of the process backend.
 
-Verdicts must be independent of policy: a batched process sweep and a serial
-sweep of the same fleet agree cell for cell.  The telemetry (chunk counts,
-occupancy) and the exactness of the merged cache counters under batching
-are pinned here too.
+A process sweep and a serial sweep of the same fleet agree cell for cell.
+The wait budget of a multi-system task and the exactness of its merged cache
+counters are pinned here too.
 """
 
 import pytest
@@ -25,75 +24,13 @@ def assert_same_verdicts(outcome, reference):
         assert got.timed_out == want.timed_out
 
 
-class TestMicroBatching:
-    def test_forced_batching_matches_serial(self):
-        systems = small_fleet(6)
-        reference = BatchRunner(backend="serial").run(systems, methods=("gare",))
-        runner = BatchRunner(
-            backend="process", batch_small_systems=True, batch_size=3
-        )
-        outcome = runner.run(systems, methods=("gare",))
-        assert_same_verdicts(outcome, reference)
-        assert outcome.n_batches == 2
-        assert outcome.n_batched_jobs == 6
-        assert outcome.batch_occupancy == 3.0
-
-    def test_auto_policy_stays_off_for_tiny_sweeps(self):
-        systems = small_fleet(3)
-        outcome = BatchRunner(backend="process").run(systems, methods=("gare",))
-        assert outcome.n_batches == 0
-        assert outcome.n_batched_jobs == 0
-        assert outcome.batch_occupancy == 0.0
-
-    def test_auto_policy_engages_on_large_small_system_fleets(self):
-        workers = BatchRunner(backend="process", max_workers=1)
-        threshold = max(8, 2 * 1)
-        systems = small_fleet(threshold)
-        outcome = workers.run(systems, methods=("gare",))
-        assert outcome.n_batches >= 1
-        assert outcome.n_batched_jobs == threshold
-
-    def test_large_systems_stay_on_per_system_path(self):
-        systems = small_fleet(8)
-        runner = BatchRunner(
-            backend="process", batch_small_systems=True, small_system_order=1
-        )
-        reference = BatchRunner(backend="serial").run(systems, methods=("gare",))
-        outcome = runner.run(systems, methods=("gare",))
-        # Every order here exceeds the (artificially tiny) small-system limit.
-        assert outcome.n_batches == 0
-        assert_same_verdicts(outcome, reference)
-
-    def test_chunk_merges_stats_once_keeping_counters_exact(self):
-        # Five copies of one system in a single chunk share the chunk's
-        # worker-local cache: the sweep must account exactly one
-        # factorization chain, not one per job.
-        system = rlc_ladder(3).system
-        runner = BatchRunner(
-            backend="process",
-            batch_small_systems=True,
-            batch_size=5,
-            precompute_spectral=False,
-        )
-        outcome = runner.run([system] * 5, methods=("proposed",))
-        assert outcome.n_batches == 1
-        assert outcome.n_batched_jobs == 5
-        serial = BatchRunner(backend="serial", precompute_spectral=False)
-        reference = serial.run([system] * 5, methods=("proposed",))
-        assert_same_verdicts(outcome, reference)
-        # One shared cache on both paths: identical factorization counts.
-        assert (
-            outcome.cache_stats.factorizations
-            == reference.cache_stats.factorizations
-        )
-        assert outcome.cache_stats.hits == reference.cache_stats.hits
-        assert outcome.cache_stats.misses == reference.cache_stats.misses
-
-    def test_chunk_wait_scales_with_chunk_size(self, monkeypatch):
-        # task_timeout budgets one system; a chunk of k systems must be
-        # waited on for k * task_timeout, or callers with per-system
-        # timeouts tuned near real job cost would see whole chunks
-        # spuriously timed out after enabling batching.
+class TestChainPieces:
+    def test_chain_piece_wait_and_counters_match_serial(self, monkeypatch):
+        # Five copies of one system form one warm-start chain, shipped as
+        # one task on one worker.  task_timeout budgets one system, so the
+        # task is waited on for 5 * task_timeout; and the task's one
+        # worker-local cache merges once, so the counters equal a serial
+        # sweep's.
         from concurrent.futures import Future
 
         captured = []
@@ -103,32 +40,56 @@ class TestMicroBatching:
             captured.append(timeout)
             return original(self, timeout=timeout)
 
+        system = rlc_ladder(3).system
+        serial = BatchRunner(
+            backend="serial", incremental="sweep", precompute_spectral=False
+        )
+        reference = serial.run([system] * 5, methods=("proposed",))
         monkeypatch.setattr(Future, "result", spy)
         runner = BatchRunner(
             backend="process",
-            batch_small_systems=True,
-            batch_size=3,
+            incremental="sweep",
+            max_workers=1,
             task_timeout=120.0,
+            precompute_spectral=False,
         )
-        outcome = runner.run(small_fleet(6), methods=("gare",))
-        assert outcome.n_timed_out == 0
-        assert captured == [360.0, 360.0]
+        outcome = runner.run([system] * 5, methods=("proposed",))
+        assert captured == [600.0]
+        assert outcome.n_chains == 1
+        assert_same_verdicts(outcome, reference)
+        assert (
+            outcome.cache_stats.factorizations
+            == reference.cache_stats.factorizations
+        )
+        assert outcome.cache_stats.hits == reference.cache_stats.hits
+        assert outcome.cache_stats.misses == reference.cache_stats.misses
 
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(batch_small_systems="yes")
-        for size in (0, -3):
-            with pytest.raises(ValueError):
-                BatchRunner(batch_small_systems=True, batch_size=size)
+
+class TestNoMicroBatching:
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"batch_small_systems": True},
+            {"small_system_order": 100},
+            {"batch_size": 3},
+        ],
+        ids=["batch_small_systems", "small_system_order", "batch_size"],
+    )
+    def test_batching_parameters_are_gone(self, knob):
+        with pytest.raises(TypeError):
+            BatchRunner(backend="process", **knob)
+
+    def test_outcome_has_no_batch_fields(self):
+        outcome = BatchRunner(backend="serial").run(small_fleet(2), methods=("gare",))
+        for name in ("n_batches", "n_batched_jobs", "batch_occupancy"):
+            assert not hasattr(outcome, name)
 
 
 class TestTransport:
     def test_batched_sweep_of_larger_systems_matches_serial(self):
-        # Order-76 systems in 3-job chunks: every task's payload is pickled.
+        # Order-76 systems, one per task: every task's payload is pickled.
         systems = small_fleet(6, orders=(25,))
-        runner = BatchRunner(
-            backend="process", batch_small_systems=True, batch_size=3
-        )
+        runner = BatchRunner(backend="process")
         reference = BatchRunner(backend="serial").run(systems, methods=("gare",))
         outcome = runner.run(systems, methods=("gare",))
         assert outcome.shm_bytes == 0

@@ -170,8 +170,8 @@ class TestRunnerPayloads:
         assert outcome.shm_bytes == 0
 
     def test_mixed_sparse_and_batched_fleet_matches_serial(self):
-        # Sparse systems never join a micro-batch: they ship as singles next
-        # to the dense chunks, each task through the same pipe.
+        # Sparse and dense systems ship as singles, each task through the
+        # same pipe.
         systems = [
             rlc_ladder(2).system,
             rc_grid(3, 3, sparse=True).system,
@@ -181,12 +181,11 @@ class TestRunnerPayloads:
             rlc_ladder(3).system,
         ]
         reference = BatchRunner(backend="serial").run(systems, methods=("gare",))
-        outcome = BatchRunner(
-            backend="process", max_workers=2, batch_small_systems=True, batch_size=2
-        ).run(systems, methods=("gare",))
+        outcome = BatchRunner(backend="process", max_workers=2).run(
+            systems, methods=("gare",)
+        )
         assert outcome.verdicts() == reference.verdicts()
         assert [r.error for r in outcome.results] == [None] * len(systems)
-        assert outcome.n_batched_jobs == 4
 
     @pytest.mark.parametrize(
         "make", [_unpicklable_lock, _unpicklable_local], ids=["lock", "local"]

@@ -67,7 +67,6 @@ class TestPoolRebuild:
             registry=_registry(),
             backend="process",
             max_workers=2,
-            batch_small_systems=False,
         )
         systems = [rlc_ladder(order).system for order in (3, 4, 5, 6)]
         outcome = runner.run(
@@ -115,7 +114,6 @@ class TestPoolRebuild:
             registry=_registry(),
             backend="process",
             max_workers=1,
-            batch_small_systems=False,
         )
         systems = [rlc_ladder(order).system for order in (3, 4)]
         outcome = runner.run(systems, methods=("crash-always",))

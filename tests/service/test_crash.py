@@ -174,16 +174,13 @@ class TestBrokenPoolSupervision:
             ).result(timeout=120.0).is_passive
 
 
-class TestPoisonBatchIsolation:
-    def test_poison_member_fails_alone_after_batch_requeue(self):
+class TestPoisonJobIsolation:
+    def test_poison_job_fails_alone(self):
         import threading
 
-        with _crash_service(
-            max_workers=1, batch_small_systems=True, max_batch_size=8
-        ) as service:
+        with _crash_service(max_workers=1) as service:
             # Occupy the single worker so the next submissions pool up in
-            # the queue; the distinct timeout keeps the blocker out of the
-            # batch the drained jobs will form.
+            # the queue behind it.
             blocker = service.submit(
                 rlc_ladder(3).system, method="sleepy", seconds=1.0, timeout=90.0
             )
@@ -195,8 +192,8 @@ class TestPoisonBatchIsolation:
                 rlc_ladder(7).system, method="quick", poison=threading.Lock()
             )
             assert blocker.result(timeout=120.0).is_passive
-            # The batched dispatch dies on the unpicklable option; the
-            # members must be re-run individually so only the poison fails.
+            # The poison dispatch dies on the unpicklable option; the jobs
+            # queued with it must still complete.
             for handle in good:
                 assert handle.result(timeout=120.0).is_passive
             with pytest.raises(JobFailedError):

@@ -134,6 +134,17 @@ class TestHTTPContract:
         assert caught.value.code == 400
         assert json.loads(caught.value.read())["error"] == "UnknownMethodError"
 
+    def test_non_positive_timeout_is_400(self, server_url):
+        for timeout in (-1, 0):
+            document = {
+                "system": system_to_jsonable(rlc_ladder(3).system),
+                "timeout": timeout,
+            }
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                _post(f"{server_url}/jobs", document)
+            assert caught.value.code == 400
+            assert json.loads(caught.value.read())["error"] == "ValueError"
+
     def test_cancel_terminal_job_reports_false(self, server_url):
         _, payload = _post(
             f"{server_url}/jobs",

@@ -133,7 +133,7 @@ class TestProcessMatchesThread:
 
 class TestTimedOutDispatch:
     def test_late_outcome_is_dropped(self):
-        with _test_service(batch_small_systems=False) as service:
+        with _test_service() as service:
             late = service.submit(
                 rlc_ladder(3).system, method="sleepy", seconds=1.0, timeout=0.2
             )

@@ -188,6 +188,16 @@ class TestScenarioSSEEndToEnd:
             _post(f"{server_url}/scenarios", {"scenario": ["not", "a", "doc"]})
         assert excinfo.value.code == 400
 
+    def test_non_positive_timeout_answers_400(self, server_url):
+        document = scenario_to_jsonable(
+            ScenarioSpec(family="corners", system=rlc_ladder(3).system, n_corners=3)
+        )
+        document["timeout"] = -1.0
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{server_url}/scenarios", document)
+        assert excinfo.value.code == 400
+        assert "timeout must be positive" in json.loads(excinfo.value.read())["message"]
+
     def test_unknown_scenario_answers_404(self, server_url):
         for path in ("/scenarios/scn-missing", "/scenarios/scn-missing/events"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:

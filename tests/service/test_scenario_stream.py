@@ -112,6 +112,14 @@ class TestScenarioSpec:
             ).validate()
         with pytest.raises(DimensionError):
             ScenarioSpec(family="portfolio", systems=[]).validate()
+        for timeout in (-1.0, 0.0, float("nan")):
+            with pytest.raises(DimensionError):
+                ScenarioSpec(
+                    family="corners",
+                    system=rlc_ladder(3).system,
+                    n_corners=3,
+                    timeout=timeout,
+                ).validate()
 
 
 class TestScenarioStreaming:

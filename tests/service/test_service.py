@@ -113,10 +113,17 @@ class TestBasics:
                 service.submit(rlc_ladder(3).system, timeout="5")
             with pytest.raises(TypeError):
                 service.submit(rlc_ladder(3).system, timeout=True)
+            # A timeout that is not positive would time the job out at once.
+            for timeout in (-1, 0, 0.0, float("nan")):
+                with pytest.raises(ValueError):
+                    service.submit(rlc_ladder(3).system, timeout=timeout)
             # The service must still work afterwards.
             assert service.submit(rlc_ladder(3).system).result(
                 timeout=60.0
             ).is_passive
+        for default_timeout in (-3, 0, float("nan")):
+            with pytest.raises(ValueError):
+                PassivityService(default_timeout=default_timeout)
 
     def test_unknown_job_id_raises_typed_error(self):
         with PassivityService(max_workers=1) as service:
@@ -156,21 +163,26 @@ class TestBasics:
 
 
 class TestSchedulingControls:
-    def test_priorities_order_the_queue(self, slow_service):
-        blocker = slow_service.submit(
-            rlc_ladder(3).system, method="sleepy", seconds=0.5
-        )
-        low = slow_service.submit(
-            rlc_ladder(4).system, method="sleepy", priority=5, seconds=0.01
-        )
-        high = slow_service.submit(
-            rlc_ladder(5).system, method="sleepy", priority=-5, seconds=0.01
-        )
-        for handle in (blocker, low, high):
-            assert handle.wait(timeout=30.0)
-        assert (
-            high.status().started_at < low.status().started_at
-        ), "higher-priority job must start first"
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_priorities_order_the_queue(self, executor):
+        # The process pool pickles the registry by reference, so the sleepy
+        # runner is a module-level function.
+        runner = BatchRunner(registry=_test_registry(), backend="thread")
+        with PassivityService(runner, max_workers=1, executor=executor) as service:
+            blocker = service.submit(
+                rlc_ladder(3).system, method="sleepy", seconds=0.5
+            )
+            low = service.submit(
+                rlc_ladder(4).system, method="sleepy", priority=5, seconds=0.01
+            )
+            high = service.submit(
+                rlc_ladder(5).system, method="sleepy", priority=-5, seconds=0.01
+            )
+            for handle in (blocker, low, high):
+                assert handle.wait(timeout=30.0)
+            assert (
+                high.status().started_at < low.status().started_at
+            ), "higher-priority job must start first"
 
     def test_job_timeout_is_reported(self, slow_service):
         handle = slow_service.submit(
