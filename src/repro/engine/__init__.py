@@ -10,7 +10,8 @@ tests:
   Weierstrass form, admissible reduction, additive decomposition) across
   methods and calls,
 * :mod:`repro.engine.runner` — :class:`BatchRunner` fanning systems x methods
-  over a process/thread pool with per-task timeouts and telemetry,
+  over one single-worker lane per worker (processes or threads) with
+  per-cell timeouts and telemetry,
 * :mod:`repro.engine.executor` — :func:`run_cells`, the one task every
   cell runs in, and the :class:`SupervisedPool` that runs it on threads,
   processes or inline; every process payload travels through the pool's

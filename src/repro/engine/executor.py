@@ -6,20 +6,20 @@ paper's Figure-1 test or a baseline) through one
 task that does it, :func:`run_cells`, and the one pool every caller submits
 it to, :class:`SupervisedPool`:
 
-* :class:`~repro.engine.runner.BatchRunner` ships a sweep as groups of
-  systems — one piece of a warm-start chain, or a single system as a group
-  of one.  A process task
-  builds a fresh cache from the runner cache's ``(maxsize, store)``; a
-  thread or serial task (:class:`InlineExecutor`) runs on the runner's
-  shared cache.
+* :class:`~repro.engine.runner.BatchRunner` ships a sweep as one task per
+  system, with one cell per requested method, on *lanes*: one
+  single-worker pool per worker.  A warm-start chain piece runs on one lane
+  in delta order.  A process lane runs :func:`init_worker`, so all tasks of
+  its worker share one store-backed cache; a thread or serial lane
+  (:class:`InlineExecutor`) runs on the runner's shared cache.
 * :class:`~repro.service.PassivityService` ships each job as a one-cell
   task.  Its process pool runs
   :func:`init_worker` in every worker process, so all tasks of a worker
   share one store-backed cache; its thread pool runs on the runner cache.
 
 This is the two-level parallelism of the Wong–Lam study: tasks fan out over
-the pool's workers, and inside a task the cache shares each intermediate
-among the task's cells.  Every process payload — systems, spectral contexts
+the workers, and each worker's cache shares every intermediate among the
+cells it runs.  Every process payload — systems, spectral contexts
 and warm-start ancestors — travels through the pool's own pickle pipe.
 
 A worker crash (OOM kill, segfault, SIGKILL) breaks the whole
@@ -32,6 +32,7 @@ replacement is built at the next :meth:`SupervisedPool.submit`.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
@@ -50,8 +51,16 @@ __all__ = ["CellTask", "InlineExecutor", "SupervisedPool", "init_worker", "run_c
 CellOutcome = Tuple[Optional[PassivityReport], float, Optional[str], List[Dict[str, Any]]]
 
 #: The per-process cache installed by :func:`init_worker`; ``None`` in a
-#: process whose pool has no initializer (every :class:`BatchRunner` pool).
+#: process that did not run it (the parent, or a worker of a pool built
+#: without the initializer).
 _WORKER_CACHE: Optional[DecompositionCache] = None
+
+
+#: Held while a pool is built or fed.  A process pool forks its workers at
+#: its first submit; a child forked while another thread's fork is between
+#: creating its sentinel pipe and closing the write end keeps that end open,
+#: and the other pool then never sees its worker die.
+_SUBMIT_LOCK = threading.Lock()
 
 
 def init_worker(store: Optional[Any], maxsize: Optional[int]) -> None:
@@ -157,8 +166,6 @@ class InlineExecutor(Executor):
     completion in the collecting thread.
     """
 
-    _max_workers = 1
-
     def __init__(self, **_options: Any) -> None:
         pass
 
@@ -193,8 +200,6 @@ class SupervisedPool:
             max_workers=max_workers, initializer=initializer, initargs=initargs
         )
         self._pool: Optional[Executor] = executor(**self._options)
-        #: Worker count of every pool this supervisor builds.
-        self.max_workers: int = self._pool._max_workers
         #: Broken pools torn down by :meth:`heal`.
         self.restarts = 0
         #: Submitted futures that have not finished yet.
@@ -215,10 +220,11 @@ class SupervisedPool:
         """
         pool: Optional[Executor] = None
         try:
-            if self._pool is None:
-                self._pool = self._executor(**self._options)
-            pool = self._pool
-            future = pool.submit(fn, *args)
+            with _SUBMIT_LOCK:
+                if self._pool is None:
+                    self._pool = self._executor(**self._options)
+                pool = self._pool
+                future = pool.submit(fn, *args)
         except Exception as error:  # noqa: BLE001 - failures surface from the future
             future = Future()
             future.set_exception(error)

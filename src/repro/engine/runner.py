@@ -8,52 +8,62 @@ applies a best-effort per-task timeout, and returns results in deterministic
 timing telemetry and the cache counters that show how many decompositions
 were shared.
 
-Every backend runs the same plan and the same collection loop: one
-:func:`~repro.engine.executor.run_cells` task per *group* of systems — one
-piece of a warm-start chain, or a single system as a group of one — on a
-:class:`~repro.engine.executor.SupervisedPool`.  A task runs all requested
-methods on its group through one :class:`DecompositionCache`, so per-system
-intermediates are shared across methods.  The backend only picks the pool.
+Every backend runs the same plan and the same collection loop on *lanes*:
+one single-worker :class:`~repro.engine.executor.SupervisedPool` per
+worker.  Each task is one :func:`~repro.engine.executor.run_cells` call on
+one system, with one cell per requested method, so the methods share the
+system's intermediates through one :class:`DecompositionCache`.  A piece of
+a warm-start chain is assigned to one lane and runs there in delta order:
+its first cell is the cold root and every later cell warm-starts from the
+lane's cache.  Single systems go to whichever lane frees first.  Each lane
+is collected on its own thread (the first on the calling thread), so every
+verdict is recorded, and reaches ``progress``, as soon as its cell lands.
 
 Backends
 --------
 ``"process"``
-    A process pool.  Each task runs on a worker-local cache and returns one
-    counter delta and its span trees, merged into the outcome and replayed
-    into :data:`~repro.obs.metrics.METRICS` once per task.  Method runners
-    must be picklable (module-level functions) — the built-in registry
-    qualifies.  When the runner's cache has a persistent store attached, the
-    store is shipped along (workers re-open the same root) so worker-local
-    caches share decompositions through the L2 tier as well.  Every payload
-    (systems, spectral contexts) travels through the pool's pickle pipe.  A
-    worker crash rebuilds the pool and resubmits each interrupted task once.
+    One worker process per lane, booted by
+    :func:`~repro.engine.executor.init_worker`, so each worker keeps one
+    cache for the whole sweep.  Each task returns its counter delta and span
+    trees, merged into the outcome and replayed into
+    :data:`~repro.obs.metrics.METRICS` once per task.  Method runners must
+    be picklable (module-level functions) — the built-in registry qualifies.
+    When the runner's cache has a persistent store attached, the workers'
+    caches are backed by it (they re-open the same root), so they share
+    decompositions through the L2 tier as well.  Every payload (systems,
+    spectral contexts) travels through the lane's pickle pipe.  A worker
+    crash rebuilds only its own lane and resubmits the lane's unfinished
+    cells once.
 ``"thread"``
-    A thread pool; every task runs on the runner's shared cache.  NumPy
-    releases the GIL in the O(n^3) kernels, so threads overlap well.
+    One thread per lane; every task runs on the runner's shared cache.
+    NumPy releases the GIL in the O(n^3) kernels, so threads overlap well.
 ``"serial"``
-    An :class:`~repro.engine.executor.InlineExecutor`: each task runs in the
-    calling thread when it is collected, on the runner's cache — mainly for
-    debugging and deterministic accounting.
+    One :class:`~repro.engine.executor.InlineExecutor` lane: each task runs
+    in the calling thread when it is collected, on the runner's cache —
+    mainly for debugging and deterministic accounting.
 ``"auto"``
     ``"process"`` when a pool can be created, otherwise ``"serial"``.
 
-Timeouts are enforced while *collecting* results: a task that exceeds
-``task_timeout`` is reported as ``timed_out`` and the sweep moves on (the
-serial backend runs every task to completion).  A sweep whose every task
-finished joins its pool before ``run()`` returns, so no worker outlives the
-call.  After a timeout, queued tasks that never started are cancelled and
-``run()`` returns without joining hung workers — an already-running worker
-cannot be forcibly killed (the usual executor limitation) and keeps running
-in the background until it finishes.
+Timeouts are enforced while *collecting* results: ``task_timeout`` budgets
+one cell from when it reaches the head of its lane.  A cell that exceeds it
+is reported as ``timed_out``, and so is every cell still queued on its lane,
+whose worker is hung; the other lanes carry on (the serial backend runs
+every task to completion).  A sweep whose every task finished joins its
+workers before ``run()`` returns, so no worker outlives the call.  After a
+timeout, queued tasks are cancelled and ``run()`` returns without joining
+the hung worker — an already-running worker cannot be forcibly killed (the
+usual executor limitation) and keeps running in the background until it
+finishes.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
@@ -68,7 +78,13 @@ from repro.engine.cache import (
     DecompositionCache,
     fingerprint_system,
 )
-from repro.engine.executor import CellTask, InlineExecutor, SupervisedPool, run_cells
+from repro.engine.executor import (
+    CellTask,
+    InlineExecutor,
+    SupervisedPool,
+    init_worker,
+    run_cells,
+)
 from repro.engine.incremental import delta_distance, family_key
 from repro.engine.registry import DEFAULT_REGISTRY, MethodRegistry, UnknownMethodError
 from repro.linalg.pencil import SpectralContext
@@ -77,16 +93,6 @@ from repro.obs.trace import JobTrace
 from repro.passivity.result import PassivityReport
 
 __all__ = ["BatchResult", "BatchOutcome", "BatchRunner"]
-
-#: The executor class behind each backend's :class:`SupervisedPool`;
-#: ``"auto"`` tries a process pool first.
-_EXECUTORS = {
-    "auto": ProcessPoolExecutor,
-    "process": ProcessPoolExecutor,
-    "thread": ThreadPoolExecutor,
-    "serial": InlineExecutor,
-}
-
 
 @dataclass
 class BatchResult:
@@ -181,7 +187,7 @@ def _notify_progress(progress, result) -> None:
 def _fill_idle_workers(
     chains: List[List[int]], n_other_tasks: int, n_workers: int
 ) -> List[List[int]]:
-    """Split warm-start chains into pieces until every pool worker has a task.
+    """Split warm-start chains into pieces until every lane has a task.
 
     While the chain pieces plus ``n_other_tasks`` (single systems) number
     fewer than ``n_workers``, the longest piece with at least three members
@@ -224,11 +230,12 @@ class BatchRunner:
         deltas of *later* ``run()`` calls on the same runner are
         best-effort; use a fresh runner when exact accounting matters.
     max_workers:
-        Pool size, at least 1 (default: executor's choice).
+        Number of lanes (one worker each), at least 1 (default: the CPU
+        count).  The serial backend always has one.
     task_timeout:
-        Best-effort per-task timeout in seconds, positive (``None``
-        disables).  The budget is per *system*: a chain piece of ``k``
-        systems is waited on for ``k * task_timeout``.
+        Best-effort per-cell timeout in seconds, positive (``None``
+        disables).  Each system's task is waited on for ``task_timeout``
+        from when it reaches the head of its lane.
     backend:
         ``"auto"``, ``"process"``, ``"thread"`` or ``"serial"``.
     tol:
@@ -258,13 +265,14 @@ class BatchRunner:
         one cold QZ each successor is certified by the perturbation-aware
         update tier (falling back to cold, and becoming the new warm-start
         root, whenever a validity bound fails — verdicts never weaken).
-        Each chain runs in order as one task sharing one cache, so it pays
-        a single cold factorization; when the sweep would leave pool
-        workers idle, the longest chains are split into pieces that each
-        repeat the chain's root (on the process backend one extra cold
-        factorization per extra piece, on an otherwise idle worker; thread
-        pieces share the runner cache — the root's verdict is recorded
-        once).
+        Each chain runs in order on one lane, one system per task, with the
+        lane's one cache carrying every warm start, so it pays a single cold
+        factorization and reports each corner as soon as it is certified;
+        when the sweep would leave lanes idle, the longest chains are split
+        into pieces that each repeat the chain's root, one piece per lane
+        (on the process backend one extra cold factorization per extra
+        piece, on an otherwise idle worker; thread pieces share the runner
+        cache — the root's verdict is recorded once).
         ``n_chains`` / ``n_chained_jobs`` count the planned chains either
         way.  Systems without a same-shape partner run exactly as with
         ``"off"``.
@@ -425,8 +433,9 @@ class BatchRunner:
         ``progress`` is invoked once per completed cell (with its
         :class:`BatchResult`) as results land, *before* the sweep finishes —
         the hook streaming front-ends use to push incremental verdicts.  It
-        runs on the collecting thread, completion order is not the sweep
-        order, and exceptions it raises are swallowed.
+        runs on the thread that collects the cell's lane, never on two
+        threads at once; completion order is not the sweep order, and
+        exceptions it raises are swallowed.
         """
         systems = list(systems)
         methods = tuple(methods)
@@ -457,32 +466,49 @@ class BatchRunner:
         stats_baseline = self.cache.stats.snapshot()
         contexts = self._spectral_contexts(systems, methods, method_options)
         chains = self._plan_sweep_chains(systems)
-        backend = self.backend
-        try:
-            pool = SupervisedPool(
-                max_workers=self.max_workers, executor=_EXECUTORS[backend]
-            )
-        except (OSError, PermissionError):
-            # Only pool *creation* triggers the serial fallback; a pool that
-            # breaks mid-sweep surfaces as per-cell errors instead of
-            # silently discarding completed work and re-running it here.
-            if backend != "auto":
-                raise
-            backend = "serial"
-            pool = SupervisedPool(executor=InlineExecutor)
-        if backend == "auto":
-            backend = "process"
-        outcome = self._run_tasks(
-            pool, backend, systems, methods, method_options, contexts,
+        backend, lanes = self._open_lanes()
+        outcome = self._run_lanes(
+            lanes, backend, systems, methods, method_options, contexts,
             stats_baseline, chains, progress,
         )
         outcome.total_seconds = time.perf_counter() - start
         return outcome
 
     # ------------------------------------------------------------------
-    def _run_tasks(
+    def _open_lanes(self) -> Tuple[str, List[SupervisedPool]]:
+        """The backend that runs, and its lanes: one single-worker pool each.
+
+        Process lanes run :func:`~repro.engine.executor.init_worker`, so each
+        worker keeps one store-backed cache for the whole sweep.  Only lane
+        *creation* triggers the ``"auto"`` fallback to serial; a lane that
+        breaks mid-sweep surfaces as per-cell errors instead of silently
+        discarding completed work and re-running it here.
+        """
+        if self.backend == "serial":
+            return "serial", [SupervisedPool(executor=InlineExecutor)]
+        n_lanes = self.max_workers or os.cpu_count() or 1
+        if self.backend == "thread":
+            return "thread", [
+                SupervisedPool(1, executor=ThreadPoolExecutor) for _ in range(n_lanes)
+            ]
+        lanes: List[SupervisedPool] = []
+        try:
+            for _ in range(n_lanes):
+                lanes.append(
+                    SupervisedPool(1, init_worker, (self.cache.store, self.cache.maxsize))
+                )
+        except (OSError, PermissionError):
+            for lane in lanes:
+                lane.shutdown()
+            if self.backend != "auto":
+                raise
+            return "serial", [SupervisedPool(executor=InlineExecutor)]
+        return "process", lanes
+
+    # ------------------------------------------------------------------
+    def _run_lanes(
         self,
-        pool: SupervisedPool,
+        lanes: List[SupervisedPool],
         backend: str,
         systems: List[DescriptorSystem],
         methods: Tuple[str, ...],
@@ -492,26 +518,27 @@ class BatchRunner:
         chains: List[List[int]],
         progress: Optional[Callable[[BatchResult], None]] = None,
     ) -> BatchOutcome:
-        # Every task is one run_cells call on a group of systems: a chain
-        # piece or a single system as a group of one.
-        # The task's one cache shares per-system intermediates across
-        # methods.  Thread and serial tasks run on the runner's cache, which
-        # already holds the precomputed spectral contexts, and count their
-        # stats and spans at the source.  A process task runs on a
-        # worker-local cache seeded with the parent-computed contexts and
+        # Every task is one run_cells call on one system, with one cell per
+        # requested method, so the methods share the system's
+        # intermediates.  Thread and serial tasks run on the runner's cache,
+        # which already holds the precomputed spectral contexts, and count
+        # their stats and spans at the source.  A process task runs on its
+        # worker's cache, seeded with any parent-computed context, and
         # returns its counter delta and span trees, merged and replayed here
         # exactly once per task.  The registry is shipped to the workers
         # (specs pickle by reference, so runners must be module-level
         # functions); relying on the worker re-importing DEFAULT_REGISTRY
         # would drop dynamically registered methods under a spawn start
-        # method.  A context shared by several positions of one task is
-        # pickled once (pickle's memo).
+        # method.
         remote = backend == "process"
         cache = None if remote else self.cache
         if not remote:
             contexts = {}
         worker_stats = CacheStats()
         results: Dict[Tuple[int, int], BatchResult] = {}
+
+        #: Serializes recording: every lane collects on its own thread.
+        lock = threading.Lock()
 
         def record(si: int, mi: int, result: BatchResult) -> None:
             # First result wins: a fanned-out chain runs its root in every
@@ -520,93 +547,135 @@ class BatchRunner:
                 results[si, mi] = result
                 _notify_progress(progress, result)
 
-        def fail(group: List[int], **outcome: Any) -> None:
-            for si in group:
+        def fail(si: int, **outcome: Any) -> None:
+            with lock:
                 for mi, method in enumerate(methods):
                     record(si, mi, BatchResult(si, method, **outcome))
 
-        #: Collection queue of ``[group, task, future, pool, retried]``: a
-        #: task interrupted by a worker crash is resubmitted once to the
-        #: rebuilt pool.
-        tasks: "deque[List[Any]]" = deque()
+        def collect(si: int, outcomes: List[Any], stats: CacheStats) -> None:
+            with lock:
+                if remote:
+                    worker_stats.merge(stats)
+                for mi, (method, (report, seconds, error, spans)) in enumerate(
+                    zip(methods, outcomes)
+                ):
+                    if remote:
+                        observe_span_tree(METRICS, JobTrace.from_jsonable(spans))
+                    record(si, mi, BatchResult(si, method, report, seconds, error))
 
-        def enqueue(group: List[int], ancestor: Optional[str]) -> None:
-            task = CellTask(
-                [systems[si] for si in group],
-                [
-                    (position, method, method_options.get(method, {}), ancestor)
-                    for position in range(len(group))
-                    for method in methods
-                ],
+        def make_task(si: int, ancestor: Optional[str]) -> CellTask:
+            return CellTask(
+                [systems[si]],
+                [(0, method, method_options.get(method, {}), ancestor) for method in methods],
                 self.tol,
                 self.registry,
                 (self.cache.maxsize, self.cache.store),
-                {
-                    position: contexts[si]
-                    for position, si in enumerate(group)
-                    if si in contexts
-                },
+                {0: contexts[si]} if si in contexts else None,
             )
-            future, task_pool = pool.submit(run_cells, task, cache)
-            tasks.append([group, task, future, task_pool, False])
 
-        n_workers = pool.max_workers
+        # A group is a chain piece, run in delta order with ancestor "auto"
+        # so its first cell is the cold root and every later cell warm-starts
+        # from the lane's cache, or a single system as a group of one.
+        in_chains = {si for chain in chains for si in chain}
+        singles = [si for si in range(len(systems)) if si not in in_chains]
+        groups: "deque[Tuple[List[int], Optional[str]]]" = deque(
+            [(piece, "auto") for piece in _fill_idle_workers(chains, len(singles), len(lanes))]
+            + [([si], None) for si in singles]
+        )
+
+        def next_group() -> Optional[Tuple[List[int], Optional[str]]]:
+            try:
+                return groups.popleft()
+            except IndexError:
+                return None
+
+        def drain(lane: SupervisedPool, group: Optional[Tuple[List[int], Optional[str]]]) -> None:
+            """Run groups on one lane until none is left or a cell times out.
+
+            A group's cells are all submitted at once, so the worker never
+            waits on the pipe between them, and each is collected as it
+            lands.  ``task_timeout`` budgets one cell from when it reaches
+            the head of the lane.
+            """
+            while group is not None:
+                members, ancestor = group
+                #: ``[si, task, future, pool]`` per unfinished cell.
+                queued: "deque[List[Any]]" = deque()
+                for si in members:
+                    task = make_task(si, ancestor)
+                    queued.append([si, task, *lane.submit(run_cells, task, cache)])
+                retried = False
+                while queued:
+                    si, task, future, pool = queued[0]
+                    try:
+                        outcomes, stats = future.result(timeout=self.task_timeout)
+                    except FutureTimeoutError:
+                        # The worker is hung: every cell still queued on this
+                        # lane times out with it, and the lane stops.
+                        for entry in queued:
+                            fail(entry[0], timed_out=True)
+                        return
+                    except BrokenExecutor as error:
+                        # A worker crash (OOM kill, segfault) breaks only this
+                        # lane.  Heal it and resubmit its unfinished cells
+                        # once; a cell that breaks the rebuilt worker too
+                        # fails.
+                        lane.heal(pool)
+                        if not retried:
+                            retried = True
+                            for entry in queued:
+                                entry[2:] = lane.submit(run_cells, entry[1], cache)
+                            continue
+                        fail(si, error=f"{type(error).__name__}: {error}")
+                    except Exception as error:  # noqa: BLE001 - costs this cell only
+                        # A task that returns no outcomes failed in transit:
+                        # an unpicklable payload (pickle raises PicklingError,
+                        # TypeError or AttributeError) or a pipe I/O failure.
+                        # Both are deterministic — a retry cannot help.
+                        fail(si, error=f"{type(error).__name__}: {error}")
+                    else:
+                        collect(si, outcomes, stats)
+                    queued.popleft()
+                group = next_group()
+
+        crashes: List[BaseException] = []
+
+        def drain_off_thread(lane: SupervisedPool, group: Any) -> None:
+            try:
+                drain(lane, group)
+            except BaseException as error:  # noqa: BLE001 - re-raised by run()
+                crashes.append(error)
+
         try:
-            in_chains = {si for chain in chains for si in chain}
-            singles = [si for si in range(len(systems)) if si not in in_chains]
-            for piece in _fill_idle_workers(chains, len(singles), n_workers):
-                # One task per piece, in delta order: the task's one cache
-                # makes position 0 the cold root and every later position an
-                # "auto" warm start against it.
-                enqueue(piece, "auto")
-            for si in singles:
-                enqueue([si], None)
-            while tasks:
-                group, task, future, task_pool, retried = tasks.popleft()
-                # task_timeout budgets *one system's* worth of work; a chain
-                # piece of several systems is waited on for that many
-                # budgets, so a caller's tuned timeout keeps its meaning.
-                timeout = None
-                if self.task_timeout is not None:
-                    timeout = self.task_timeout * len(group)
-                try:
-                    outcomes, stats = future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    fail(group, timed_out=True)
-                    continue
-                except BrokenExecutor as error:
-                    # A worker crash (OOM kill, segfault) breaks the whole
-                    # pool: every in-flight future of that pool fails.  Heal
-                    # it and resubmit each affected task once; only a task
-                    # that breaks the *rebuilt* pool too fails its cells.
-                    pool.heal(task_pool)
-                    if not retried:
-                        future, task_pool = pool.submit(run_cells, task, cache)
-                        tasks.append([group, task, future, task_pool, True])
-                        continue
-                    fail(group, error=f"{type(error).__name__}: {error}")
-                    continue
-                except Exception as error:  # noqa: BLE001 - costs this task only
-                    # A task that returns no outcomes failed in transit: an
-                    # unpicklable payload (pickle raises PicklingError,
-                    # TypeError or AttributeError) or a pipe I/O failure.
-                    # Both are deterministic — a retry cannot help; they cost
-                    # the affected cells, not the whole sweep.
-                    fail(group, error=f"{type(error).__name__}: {error}")
-                    continue
-                if remote:
-                    worker_stats.merge(stats)
-                # run_cells returns the cells in task order: per system, one
-                # cell per entry of ``methods`` (duplicates stay distinct).
-                cells = iter(outcomes)
-                for si in group:
-                    for mi, method in enumerate(methods):
-                        report, seconds, error, spans = next(cells)
-                        if remote:
-                            observe_span_tree(METRICS, JobTrace.from_jsonable(spans))
-                        record(si, mi, BatchResult(si, method, report, seconds, error))
+            # Groups are assigned to lanes here, not raced for, so the pieces
+            # of a fanned-out chain land on distinct lanes.  The calling
+            # thread drains the first lane (the serial backend's only one);
+            # every other lane gets a thread.
+            first = next_group()
+            threads = []
+            for number, lane in enumerate(lanes[1:], start=1):
+                group = next_group()
+                if group is None:
+                    break
+                thread = threading.Thread(
+                    target=drain_off_thread, args=(lane, group),
+                    name=f"repro-lane-{number}", daemon=True,
+                )
+                thread.start()
+                threads.append(thread)
+            drain(lanes[0], first)
+            for thread in threads:
+                thread.join()
+            if crashes:
+                raise crashes[0]
+            # Groups no lane took: every lane stopped on a timed-out cell.
+            for members, _ in groups:
+                for si in members:
+                    fail(si, timed_out=True)
         finally:
-            pool.shutdown()
+            groups.clear()  # when run() raises, no lane takes another group
+            for lane in lanes:
+                lane.shutdown()
 
         # Parent-side counters (the hoisted precompute, and every thread or
         # serial cell) join the merged worker counters, so the sweep
@@ -619,8 +688,8 @@ class BatchRunner:
             cache_stats=cache_stats,
             total_seconds=0.0,
             backend=backend,
-            n_workers=n_workers,
+            n_workers=len(lanes),
             n_chains=len(chains),
             n_chained_jobs=sum(len(chain) for chain in chains),
-            pool_restarts=pool.restarts,
+            pool_restarts=sum(lane.restarts for lane in lanes),
         )

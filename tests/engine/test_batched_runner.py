@@ -1,15 +1,20 @@
 """Chain pieces and pickled payloads of the process backend.
 
 A process sweep and a serial sweep of the same fleet agree cell for cell.
-The wait budget of a multi-system task and the exactness of its merged cache
-counters are pinned here too.
+The per-cell wait budget of a chain piece, the exactness of its merged cache
+counters, and the arrival of each cell's verdict as soon as it is certified
+are pinned here too.
 """
+
+import multiprocessing
+import time
 
 import pytest
 
 from repro.circuits import rlc_ladder
-from repro.engine import PENCIL_SPECTRUM
+from repro.engine import PENCIL_SPECTRUM, MethodRegistry, MethodSpec
 from repro.engine.runner import BatchRunner
+from repro.passivity.result import PassivityReport
 
 
 def small_fleet(count=8, orders=(2, 3, 4)):
@@ -26,10 +31,10 @@ def assert_same_verdicts(outcome, reference):
 
 class TestChainPieces:
     def test_chain_piece_wait_and_counters_match_serial(self, monkeypatch):
-        # Five copies of one system form one warm-start chain, shipped as
-        # one task on one worker.  task_timeout budgets one system, so the
-        # task is waited on for 5 * task_timeout; and the task's one
-        # worker-local cache merges once, so the counters equal a serial
+        # Five copies of one system form one warm-start chain, run as five
+        # one-system tasks on one lane.  task_timeout budgets one cell, so
+        # each task is waited on for task_timeout; and the lane's one
+        # worker cache carries every cell, so the counters equal a serial
         # sweep's.
         from concurrent.futures import Future
 
@@ -54,7 +59,7 @@ class TestChainPieces:
             precompute_spectral=False,
         )
         outcome = runner.run([system] * 5, methods=("proposed",))
-        assert captured == [600.0]
+        assert captured == [120.0] * 5
         assert outcome.n_chains == 1
         assert_same_verdicts(outcome, reference)
         assert (
@@ -63,6 +68,42 @@ class TestChainPieces:
         )
         assert outcome.cache_stats.hits == reference.cache_stats.hits
         assert outcome.cache_stats.misses == reference.cache_stats.misses
+
+
+def _quarter_second_runner(system, tol, cache, **options):
+    time.sleep(0.25)
+    return PassivityReport(is_passive=True, method="quarter-second")
+
+
+class TestPerCellProgress:
+    @pytest.mark.parametrize("backend", ["process", "thread", "serial"])
+    def test_each_chained_cell_reports_when_it_lands(self, backend):
+        # A four-system chain on one worker: each verdict must reach
+        # progress when its own cell ends, not when the chain does.
+        if backend == "process" and multiprocessing.get_start_method(
+            allow_none=True
+        ) not in (None, "fork"):
+            pytest.skip("pickles a test-module runner by reference (fork only)")
+        registry = MethodRegistry()
+        registry.register(
+            MethodSpec(
+                name="quarter-second", runner=_quarter_second_runner,
+                description="sleeps 0.25 s", uses_spectral_cache=False,
+            )
+        )
+        arrivals = []
+        outcome = BatchRunner(
+            backend=backend, max_workers=1, incremental="sweep", registry=registry
+        ).run(
+            [rlc_ladder(3).system] * 4,
+            methods=("quarter-second",),
+            progress=lambda result: arrivals.append(time.perf_counter()),
+        )
+        assert outcome.n_chains == 1
+        assert all(result.ok for result in outcome.results)
+        assert len(arrivals) == 4
+        assert all(later > earlier for earlier, later in zip(arrivals, arrivals[1:]))
+        assert arrivals[-1] - arrivals[0] >= 0.5
 
 
 class TestNoMicroBatching:

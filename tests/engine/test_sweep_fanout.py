@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+import zlib
 from collections import Counter
 
 import pytest
@@ -90,6 +91,19 @@ class TestProcessFanOut:
             == single.cache_stats.factorizations + root.cache_stats.factorizations
         )
 
+    def test_counters_match_the_group_task_constants(self):
+        # One six-corner family on two lanes: [root, c1, c2] and
+        # [root, c3, c4, c5], each with its own cold root.  The constants are
+        # what the runner gave when each piece was one multi-system task;
+        # one-cell tasks on a worker that keeps its cache must give the same.
+        family = rlc_grid_corners(3, 4, 6, scale=2e-4, seed=0)
+        fanned = _sweep("process", family, max_workers=2)
+        serial = _sweep("serial", family)
+        assert fanned.verdicts() == serial.verdicts()
+        assert fanned.cache_stats.factorizations == 10
+        assert fanned.cache_stats.incremental_hits == 5
+        assert fanned.cache_stats.incremental_fallbacks == 0
+
 
 class TestNoFanOut:
     def test_two_families_on_two_workers(self):
@@ -111,9 +125,26 @@ class TestNoFanOut:
         assert fanned.verdicts() == single.verdicts()
 
 
-def _sleep_runner(system, tol, cache, duration=0.0, **options):
+def _sleep_runner(system, tol, cache, duration=0.0, hang_key=None, **options):
+    if hang_key is not None and _key(system) == hang_key:
+        duration = 4.0
     time.sleep(duration)
     return PassivityReport(is_passive=True, method="sleep")
+
+
+def _key(system):
+    return zlib.crc32(system.a.tobytes())
+
+
+def _sleep_registry():
+    registry = MethodRegistry()
+    registry.register(
+        MethodSpec(
+            name="sleep", runner=_sleep_runner, description="sleeps",
+            uses_spectral_cache=False,
+        )
+    )
+    return registry
 
 
 @pytest.mark.skipif(
@@ -134,15 +165,9 @@ class TestPoolShutdown:
         )
 
     def test_a_timed_out_cell_does_not_join_the_hung_worker(self, family):
-        registry = MethodRegistry()
-        registry.register(
-            MethodSpec(
-                name="sleep", runner=_sleep_runner, description="sleeps",
-                uses_spectral_cache=False,
-            )
-        )
         runner = BatchRunner(
-            backend="process", max_workers=1, task_timeout=0.2, registry=registry
+            backend="process", max_workers=1, task_timeout=0.2,
+            registry=_sleep_registry(),
         )
         start = time.perf_counter()
         outcome = runner.run(
@@ -150,3 +175,26 @@ class TestPoolShutdown:
         )
         assert time.perf_counter() - start < 1.5
         assert outcome.n_timed_out == 1
+
+    def test_a_hung_cell_times_out_its_lane_only(self, family):
+        # The family fans out into two pieces, one per lane.  The first
+        # successor of the first piece hangs: it and the cells queued behind
+        # it time out, the other lane certifies all of its cells, and run()
+        # returns without waiting for the hung worker.
+        runner = BatchRunner(
+            backend="process", max_workers=2, task_timeout=1.0,
+            incremental="sweep", registry=_sleep_registry(),
+        )
+        first, second = _fill_idle_workers(runner._plan_sweep_chains(family), 0, 2)
+        start = time.perf_counter()
+        outcome = runner.run(
+            family, ["sleep"],
+            method_options={"sleep": {"hang_key": _key(family[first[1]])}},
+        )
+        assert time.perf_counter() - start < 3.5
+        assert multiprocessing.active_children()
+        timed_out = {r.system_index for r in outcome.results if r.timed_out}
+        assert timed_out == set(first[1:])
+        for si in second:
+            assert outcome.results[si].ok
+        assert outcome.results[first[0]].ok
