@@ -9,7 +9,8 @@ Quantifies the L2 decomposition store on the workloads the ISSUE targets
   - ``cold_store`` — a fresh :class:`DecompositionCache` writing through to
     a *fresh* (empty) store: full compute plus the persistence cost,
   - ``warm_start`` — a **fresh cache** attached to the *populated* store:
-    every decomposition rehydrates from disk, zero QZ factorizations,
+    the finished report (the ``verdict`` kind) is read back from disk, so
+    no decomposition is needed at all — zero QZ factorizations,
   - ``no_store`` — a fresh store-less cache, for reference.
 
   The acceptance target is ``cold_store / warm_start >= 3`` on order >= 200

@@ -19,15 +19,28 @@ from the cached structural profile of the system:
 * **LMI** is never auto-selected: within its order limit the SHH test is
   already faster, and beyond it the LMI test is impractical (the paper's NIL
   entries).  It remains available by explicit request.
+
+With a caller cache, a call first looks up its finished report — the
+``verdict`` kind, keyed by :func:`verdict_key` — and returns a copy of it
+without any other work; a computed report is cached the same way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import hashlib
+import json
+import time
+from typing import Any, Dict, Optional
 
 from repro.config import DEFAULT_TOLERANCES, Tolerances
 from repro.descriptor.system import DescriptorSystem
-from repro.engine.cache import DecompositionCache, SystemProfile, profile_system
+from repro.engine.cache import (
+    DecompositionCache,
+    SystemProfile,
+    canonical_options,
+    fingerprint_system,
+    profile_system,
+)
 from repro.engine.registry import DEFAULT_REGISTRY, MethodRegistry, MethodSpec
 from repro.obs.trace import trace_span
 from repro.passivity.result import PassivityReport
@@ -35,6 +48,9 @@ from repro.passivity.result import PassivityReport
 __all__ = [
     "check_passivity",
     "select_method",
+    "cached_verdict",
+    "verdict_key",
+    "VERDICT_FORMAT",
     "SPARSE_AUTO_MIN_ORDER",
     "SPARSE_AUTO_MAX_DENSITY",
 ]
@@ -79,18 +95,89 @@ def select_method(
     return registry.resolve("shh")
 
 
+#: Version of the cached verdict's key and content.  Bump it when a change
+#: could alter a report for the same system, method, runner and options;
+#: every verdict cached before then misses.
+VERDICT_FORMAT = 1
+
+#: The methods ``method="auto"`` can dispatch to.
+_AUTO_METHODS = ("shh", "gare", "shh-sparse")
+
+
+def verdict_key(
+    system: DescriptorSystem,
+    method: str = "auto",
+    tol: Optional[Tolerances] = None,
+    registry: Optional[MethodRegistry] = None,
+    options: Optional[Dict[str, Any]] = None,
+) -> Optional[str]:
+    """Key of the finished report ``check_passivity`` caches for these arguments.
+
+    A SHA-256 over :data:`VERDICT_FORMAT`, the system fingerprint (which
+    covers ``tol``), the resolved method name, the runner identity
+    (module and qualname; for ``"auto"``, those of every method it can pick)
+    and the :func:`~repro.engine.cache.canonical_options` form of
+    ``options``.  ``None`` when an option or a runner has no exact form:
+    such a call is never cached.  The service uses the same key as its
+    deduplication identity.
+
+    Raises
+    ------
+    UnknownMethodError
+        When ``method`` is neither ``"auto"`` nor registered.
+    """
+    registry = registry or DEFAULT_REGISTRY
+    if method == "auto":
+        specs = [registry.resolve(name) for name in _AUTO_METHODS if name in registry]
+    else:
+        specs = [registry.resolve(method)]
+        method = specs[0].name
+    runners = [
+        [getattr(spec.runner, "__module__", None), getattr(spec.runner, "__qualname__", None)]
+        for spec in specs
+    ]
+    form = canonical_options(options or {})
+    if form is None or not all(module and qualname for module, qualname in runners):
+        return None
+    document = [VERDICT_FORMAT, fingerprint_system(system, tol), method, runners, form]
+    return hashlib.sha256(json.dumps(document).encode()).hexdigest()
+
+
+def cached_verdict(
+    cache: DecompositionCache, key: str, auto: bool
+) -> Optional[PassivityReport]:
+    """The report cached under verdict key ``key``, stamped as this call's answer.
+
+    ``None`` on a miss.  A hit is a copy whose ``elapsed_seconds`` is the
+    lookup's time and whose engine block keeps the resolved method but reads
+    ``verdict_cached=True`` and ``factorizations=0``.
+    """
+    start = time.perf_counter()
+    report = cache.verdict(key)
+    if report is None:
+        return None
+    report.elapsed_seconds = time.perf_counter() - start
+    engine = report.diagnostics.get("engine", {})
+    _attach_engine_diagnostics(
+        report, engine.get("method", report.method), auto,
+        cached=True, skipped=False, factorizations=0, verdict_cached=True,
+    )
+    return report
+
+
 #: Sentinel distinguishing "no order_limit override given" from an explicit None.
 _UNSET = object()
 
 
 def _attach_engine_diagnostics(
     report: PassivityReport,
-    spec: MethodSpec,
+    method: str,
     auto: bool,
     cached: bool,
     skipped: bool,
     factorizations: int,
     incremental: bool = False,
+    verdict_cached: bool = False,
 ) -> None:
     """Record the dispatch decision under ``diagnostics["engine"]``.
 
@@ -106,15 +193,18 @@ def _attach_engine_diagnostics(
       performed (0 on a warm cache; best-effort when several threads share
       one cache concurrently),
     * ``incremental`` — True when the verdict was certified by the
-      perturbation-aware update tier instead of the cold pipeline.
+      perturbation-aware update tier instead of the cold pipeline,
+    * ``verdict_cached`` — True when the whole report was served from the
+      ``verdict`` cache (then ``factorizations`` is 0).
     """
     report.diagnostics["engine"] = {
-        "method": spec.name,
+        "method": method,
         "auto": auto,
         "cached": cached,
         "skipped": skipped,
         "factorizations": factorizations,
         "incremental": incremental,
+        "verdict_cached": verdict_cached,
     }
 
 
@@ -200,10 +290,36 @@ def check_passivity(
     -------
     PassivityReport
         The report of the selected method; ``report.diagnostics["engine"]``
-        records the dispatch decision.
+        records the dispatch decision.  With a ``cache``, a call whose
+        :func:`verdict_key` is cached returns a copy of the earlier report
+        before any other work (the incremental attempt included):
+        ``elapsed_seconds`` is then the lookup's time and the engine block
+        reads ``verdict_cached=True``, ``factorizations=0``.  Every computed
+        report except a skipped one is cached under its key.
     """
     registry = registry or DEFAULT_REGISTRY
     tol = tol or DEFAULT_TOLERANCES
+    key = None if cache is None else verdict_key(system, method, tol, registry, options)
+    if key is not None:
+        report = cached_verdict(cache, key, auto=method == "auto")
+        if report is not None:
+            return report
+    report = _dispatch(system, method, tol, cache, registry, ancestor, options)
+    if key is not None and not report.diagnostics["engine"]["skipped"]:
+        cache.put_verdict(key, report)
+    return report
+
+
+def _dispatch(
+    system: DescriptorSystem,
+    method: str,
+    tol: Tolerances,
+    cache: Optional[DecompositionCache],
+    registry: MethodRegistry,
+    ancestor: Optional[Any],
+    options: Dict[str, Any],
+) -> PassivityReport:
+    """Run one ``check_passivity`` call that the verdict cache did not answer."""
     persistent = cache is not None
     if cache is None:
         # Ephemeral cache: the auto profile, admissibility pre-screen and the
@@ -232,7 +348,7 @@ def check_passivity(
         if report is not None:
             _attach_engine_diagnostics(
                 report,
-                registry.resolve("gare"),
+                "gare",
                 auto,
                 persistent,
                 skipped=False,
@@ -266,7 +382,7 @@ def check_passivity(
     if limit is not None and system.order > limit:
         report = _order_limit_report(spec, system, limit)
         _attach_engine_diagnostics(
-            report, spec, auto, persistent, skipped=True,
+            report, spec.name, auto, persistent, skipped=True,
             factorizations=factorizations_delta(),
         )
         return report
@@ -282,7 +398,7 @@ def check_passivity(
             # own first step, and the refusal is its (non-passive) verdict.
             report = _not_admissible_report(spec, profile)
             _attach_engine_diagnostics(
-                report, spec, auto, persistent, skipped=False,
+                report, spec.name, auto, persistent, skipped=False,
                 factorizations=factorizations_delta(),
             )
             return report
@@ -292,7 +408,7 @@ def check_passivity(
     ):
         report = spec.run(system, tol=tol, cache=cache, **options)
     _attach_engine_diagnostics(
-        report, spec, auto, persistent, skipped=False,
+        report, spec.name, auto, persistent, skipped=False,
         factorizations=factorizations_delta(),
     )
     return report

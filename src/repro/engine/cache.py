@@ -14,11 +14,20 @@ the system matrices ``(E, A, B, C, D)`` together with the tolerance bundle
 tolerances are different cache entries).  The cache is bounded (LRU), thread
 safe, and keeps per-kind hit/miss counters so batch sweeps can verify the
 sharing actually happened.
+
+One kind holds no intermediate: ``verdict`` is the finished
+:class:`~repro.passivity.PassivityReport` of a ``check_passivity`` call,
+keyed by :func:`~repro.engine.api.verdict_key` (fingerprint, method, runner,
+options in their :func:`canonical_options` form) and read through
+:meth:`DecompositionCache.verdict` before any other work.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, field
@@ -40,12 +49,14 @@ from repro.passivity.gare_test import (
     solve_gare_certificate,
 )
 from repro.passivity.m1 import InfiniteChainData, impulsive_chain_data
+from repro.passivity.result import PassivityReport
 from repro.passivity.sparse_shh import SPARSE_DEFLATION, fetch_sparse_deflation
 
 __all__ = [
     "CacheStats",
     "DecompositionCache",
     "SystemProfile",
+    "canonical_options",
     "fingerprint_system",
     "profile_system",
     "CHAIN_DATA",
@@ -57,6 +68,7 @@ __all__ = [
     "PENCIL_SPECTRUM",
     "SPARSE_DEFLATION",
     "UPDATE_LINEAGE",
+    "VERDICT",
     "KNOWN_KINDS",
     "ANCESTOR_KINDS",
 ]
@@ -72,6 +84,11 @@ GARE_RICCATI = "gare_riccati"
 SYSTEM_PROFILE = "system_profile"
 PENCIL_SPECTRUM = "pencil_spectrum"
 UPDATE_LINEAGE = "update_lineage"
+#: The finished report of one ``check_passivity`` call.  Keyed by a verdict
+#: key, not a system fingerprint, so it is read and written only through
+#: :meth:`DecompositionCache.verdict` / :meth:`DecompositionCache.put_verdict`
+#: and is not in :data:`KNOWN_KINDS`.
+VERDICT = "verdict"
 
 #: Every cache kind the engine knows how to produce and consume.
 #: :meth:`DecompositionCache.seed` validates against this set: seeding an
@@ -150,6 +167,60 @@ def fingerprint_system(
     return digest
 
 
+class _NoExactForm(Exception):
+    """An option value has no exact canonical form."""
+
+
+def _canonical(value: Any) -> Any:
+    """Type-tagged, exact JSON form of one option value (see below)."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return ["bool", value]
+    if isinstance(value, int):
+        return ["int", str(value)]
+    if isinstance(value, float):
+        return ["float", value.hex()]
+    if isinstance(value, complex):
+        return ["complex", value.real.hex(), value.imag.hex()]
+    if isinstance(value, (np.ndarray, np.generic)):
+        array = np.asarray(value)
+        if array.dtype.hasobject:
+            raise _NoExactForm
+        digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+        return ["ndarray", array.dtype.str, list(array.shape), digest]
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__, [_canonical(item) for item in value]]
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise _NoExactForm
+        return ["dict", [[key, _canonical(value[key])] for key in sorted(value)]]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        name = f"{type(value).__module__}.{type(value).__qualname__}"
+        fields = [
+            [item.name, _canonical(getattr(value, item.name))]
+            for item in dataclasses.fields(value)
+        ]
+        return ["dataclass", name, fields]
+    raise _NoExactForm
+
+
+def canonical_options(options: Dict[str, Any]) -> Optional[str]:
+    """Exact canonical form of a method-options dict, or ``None``.
+
+    Two dicts share a form exactly when they hold equal values of equal
+    types: floats compare by their bits, arrays by dtype, shape and a
+    SHA-256 of their bytes (never by ``repr``, which elides the middle of a
+    large array), dataclasses field by field.  A value of any other type —
+    or an object array — has no exact form, and the call that carries it is
+    neither coalesced by the service nor cached as a verdict.
+    """
+    try:
+        return json.dumps(_canonical(dict(options)), separators=(",", ":"))
+    except _NoExactForm:
+        return None
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction/factorization accounting, in aggregate and per kind.
@@ -174,6 +245,9 @@ class CacheStats:
     failed (the verdict was then recomputed from scratch, so fallbacks are
     a cost, never a correctness, signal).  ``update_residual_max`` is the
     high-watermark of the certified update residuals accepted so far.
+
+    Lookups of the ``verdict`` kind (finished reports) count like any other
+    kind; they never count a factorization.
     """
 
     hits: int = 0
@@ -565,6 +639,50 @@ class DecompositionCache:
         self._store(key, kind, ("value", value), computed=False, count_miss=False)
         if persist:
             self._persist(key, kind, ("value", value))
+
+    def verdict(self, key: str) -> Optional[PassivityReport]:
+        """The finished report cached under verdict key ``key``, or ``None``.
+
+        Reads L1, then the store; an L2 hit is promoted to L1.  Counted
+        under ``stats.by_kind["verdict"]`` like any kind (an L2 hit is an L1
+        miss plus an ``l2_hit``) and traced as a ``cache.verdict`` span.
+        Returns a copy, so the caller may stamp it freely.
+        """
+        entry_key = (key, VERDICT)
+        with trace_span(f"cache.{VERDICT}") as span:
+            with self._lock:
+                cached = self._entries.get(entry_key)
+                if cached is not None:
+                    self._unwrap(entry_key, VERDICT, cached)
+            if cached is not None:
+                # Stored reports are never mutated, so copy outside the lock.
+                span.set(outcome="l1_hit")
+                return copy.deepcopy(cached[1])
+            loaded = self._load_from_store(entry_key, VERDICT)
+            if loaded is None:
+                with self._lock:
+                    self.stats.record(VERDICT, hit=False)
+                span.set(outcome="miss")
+                return None
+            span.set(outcome="l2_hit")
+            self._store(entry_key, VERDICT, loaded, computed=False)
+            return copy.deepcopy(loaded[1])
+
+    def put_verdict(
+        self, key: str, report: PassivityReport, persist: bool = True
+    ) -> None:
+        """Cache a copy of ``report`` under verdict key ``key``.
+
+        Written through to the store unless ``persist`` is false (the
+        service seeds its own L1 with verdicts a worker already persisted).
+        Counts neither a miss nor a factorization: the lookup that missed
+        and the decompositions behind the report were counted already.
+        """
+        entry = ("value", copy.deepcopy(report))
+        entry_key = (key, VERDICT)
+        self._store(entry_key, VERDICT, entry, computed=False, count_miss=False)
+        if persist:
+            self._persist(entry_key, VERDICT, entry)
 
     # ------------------------------------------------------------------
     # Persistent store (L2) plumbing — best-effort by design: the store

@@ -1031,10 +1031,7 @@ def attempt_incremental(
     # factors and must never satisfy a pencil_spectrum lookup.
     cache.seed(system, GARE_STATE_SPACE, state_space, tol, persist=True)
     cache.seed(system, GARE_RICCATI, certificate, tol, persist=True)
-    cache.seed(
-        system, SYSTEM_PROFILE, _certified_profile(system, context, tol), tol,
-        persist=True,
-    )
+    cache.seed(system, SYSTEM_PROFILE, _certified_profile(system, context, tol), tol)
     cache.seed(system, UPDATE_LINEAGE, lineage, tol, persist=True)
     cache.register_ancestor(ancestor, tol)
     cache.stats.record_incremental(True, residual)

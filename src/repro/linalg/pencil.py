@@ -305,84 +305,6 @@ class SpectralContext:
             )
         return self.spectrum
 
-    def to_arrays(self) -> "dict":
-        """Flatten the context to a dict of NumPy arrays (store wire form).
-
-        Everything — including the boolean/integer header and the classified
-        spectrum counts — is packed into plain arrays so the bundle can be
-        written to an ``.npz`` blob without pickling.  The inverse is
-        :meth:`from_arrays`; the round trip is exact (no re-factorization and
-        no re-classification happens on load).
-        """
-        payload = {
-            "header": np.array(
-                [int(self.is_regular), int(self.n_finite)], dtype=np.int64
-            )
-        }
-        if not self.is_regular:
-            return payload
-        payload.update(
-            aa=self.aa,
-            ee=self.ee,
-            q=self.q,
-            z=self.z,
-            alpha=np.asarray(self.alpha, dtype=complex),
-            beta=np.asarray(self.beta, dtype=complex),
-            spectrum_finite=np.asarray(self.spectrum.finite, dtype=complex),
-            spectrum_counts=np.array(
-                [
-                    self.spectrum.n_infinite,
-                    self.spectrum.n_stable,
-                    self.spectrum.n_unstable,
-                    self.spectrum.n_imaginary,
-                ],
-                dtype=np.int64,
-            ),
-        )
-        return payload
-
-    @classmethod
-    def from_arrays(cls, arrays: "dict") -> "SpectralContext":
-        """Rebuild a :class:`SpectralContext` from :meth:`to_arrays` output.
-
-        Accepts any mapping of array-likes (in particular a loaded ``.npz``
-        file), so the persistent store can rehydrate contexts without ever
-        touching the pencil.
-
-        Raises
-        ------
-        KeyError, ValueError
-            When the mapping does not hold a well-formed bundle (the store
-            treats either as blob corruption and falls back to computing).
-        """
-        header = np.asarray(arrays["header"], dtype=np.int64)
-        if header.shape != (2,):
-            raise ValueError(f"malformed spectral-context header {header!r}")
-        is_regular, n_finite = bool(header[0]), int(header[1])
-        if not is_regular:
-            return cls(is_regular=False, n_finite=0)
-        counts = np.asarray(arrays["spectrum_counts"], dtype=np.int64)
-        if counts.shape != (4,):
-            raise ValueError(f"malformed spectrum counts {counts!r}")
-        spectrum = GeneralizedSpectrum(
-            finite=np.asarray(arrays["spectrum_finite"], dtype=complex),
-            n_infinite=int(counts[0]),
-            n_stable=int(counts[1]),
-            n_unstable=int(counts[2]),
-            n_imaginary=int(counts[3]),
-        )
-        return cls(
-            is_regular=True,
-            n_finite=n_finite,
-            aa=np.asarray(arrays["aa"], dtype=float),
-            ee=np.asarray(arrays["ee"], dtype=float),
-            q=np.asarray(arrays["q"], dtype=float),
-            z=np.asarray(arrays["z"], dtype=float),
-            alpha=np.asarray(arrays["alpha"], dtype=complex),
-            beta=np.asarray(arrays["beta"], dtype=complex),
-            spectrum=spectrum,
-        )
-
 
 def compute_spectral_context(
     e_matrix: np.ndarray,

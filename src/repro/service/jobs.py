@@ -15,7 +15,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.passivity.result import PassivityReport
 
@@ -132,7 +132,10 @@ class Job:
     priority: int
     timeout: Optional[float]
     fingerprint: str
-    key: Tuple[str, str, str]
+    #: Dedup identity: the job's :func:`~repro.engine.api.verdict_key`;
+    #: ``None`` when its options have no exact form, for scenario cells
+    #: (which bypass dedup) and for records restored from the store.
+    key: Optional[str]
     seq: int
     state: JobState = JobState.QUEUED
     submitted_at: float = field(default_factory=time.time)

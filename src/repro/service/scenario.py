@@ -49,14 +49,9 @@ import numpy as np
 
 from repro.descriptor.system import DescriptorSystem
 from repro.exceptions import DimensionError, SerializationError
-from repro.passivity.result import PassivityReport
+from repro.passivity.result import PassivityReport, _plain, _revive
 from repro.service.jobs import JobState
-from repro.service.serialization import (
-    _plain,
-    _revive,
-    system_from_jsonable,
-    system_to_jsonable,
-)
+from repro.service.serialization import system_from_jsonable, system_to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import PassivityService

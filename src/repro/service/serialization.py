@@ -12,11 +12,9 @@ conventions keep the round trip lossless:
   reconstructed system has the *same cache fingerprint* (the fingerprint
   hashes exactly these triplets), so server-side deduplication works across
   the wire.
-* **Complex numbers are tagged.**  JSON has no complex type; complex scalars
-  become ``{"__complex__": [re, im]}`` and are revived on load (report
-  diagnostics carry eigenvalues).  NumPy arrays become nested lists, NumPy
-  scalars become Python scalars — numeric content survives, array-ness does
-  not (a diagnostics array returns as a list).
+* **Reports use their one JSON form**, :func:`~repro.passivity.result.
+  report_to_jsonable` (complex and non-finite numbers tagged), re-exported
+  here.
 
 Every document carries a ``"kind"`` tag; :func:`from_jsonable` dispatches on
 it, and malformed documents raise
@@ -25,7 +23,6 @@ it, and malformed documents raise
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -33,7 +30,12 @@ import scipy.sparse
 
 from repro.descriptor.system import DescriptorSystem
 from repro.exceptions import SerializationError
-from repro.passivity.result import PassivityReport, TestStep
+from repro.passivity.result import (
+    REPORT_KIND,
+    PassivityReport,
+    report_from_jsonable,
+    report_to_jsonable,
+)
 
 __all__ = [
     "system_to_jsonable",
@@ -47,65 +49,7 @@ __all__ = [
 ]
 
 SYSTEM_KIND = "descriptor_system"
-REPORT_KIND = "passivity_report"
 JOB_RECORD_KIND = "service_job_record"
-
-
-def _plain_float(value: float) -> Any:
-    """A float as a JSON-safe scalar: non-finite values become strings.
-
-    Strict JSON has no ``Infinity``/``NaN`` tokens (``json.dumps`` would
-    emit them anyway and break standards-compliant clients), so non-finite
-    values travel as the strings ``"inf"``/``"-inf"``/``"nan"`` that
-    ``float()`` parses back.
-    """
-    return value if math.isfinite(value) else str(value)
-
-
-def _plain(value: Any) -> Any:
-    """Recursively convert a value to *strict* JSON primitives.
-
-    Complex scalars are tagged (``{"__complex__": [re, im]}``), non-finite
-    floats are tagged (``{"__float__": "inf"}``) — both revive losslessly.
-    """
-    if isinstance(value, dict):
-        return {str(key): _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    if isinstance(value, complex):
-        return {
-            "__complex__": [
-                _plain_float(float(value.real)),
-                _plain_float(float(value.imag)),
-            ]
-        }
-    if isinstance(value, np.generic):
-        return _plain(value.item())
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return value
-        return {"__float__": str(value)}
-    # Last resort for exotic diagnostics payloads: keep a readable trace
-    # instead of refusing the whole report.
-    return repr(value)
-
-
-def _revive(value: Any) -> Any:
-    """Inverse of :func:`_plain` (revives tagged complex/non-finite scalars)."""
-    if isinstance(value, dict):
-        if set(value) == {"__complex__"}:
-            real, imag = value["__complex__"]
-            return complex(float(real), float(imag))
-        if set(value) == {"__float__"}:
-            return float(value["__float__"])
-        return {key: _revive(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_revive(item) for item in value]
-    return value
 
 
 def _csr_to_jsonable(matrix: "scipy.sparse.csr_matrix") -> Dict[str, Any]:
@@ -212,80 +156,6 @@ def system_from_jsonable(payload: Dict[str, Any]) -> DescriptorSystem:
             f"system payload does not describe a valid descriptor system: "
             f"{type(error).__name__}: {error}"
         ) from error
-
-
-def report_to_jsonable(report: PassivityReport) -> Dict[str, Any]:
-    """Serialize a :class:`~repro.passivity.PassivityReport` to a dict.
-
-    Steps and diagnostics are normalized to JSON primitives: NumPy arrays
-    become nested lists, complex scalars become tagged pairs (see the module
-    docstring); the schema-unified ``diagnostics["engine"]`` block travels
-    as-is.
-    """
-    if not isinstance(report, PassivityReport):
-        raise SerializationError(
-            f"expected a PassivityReport, got {type(report).__name__}"
-        )
-    return {
-        "kind": REPORT_KIND,
-        "is_passive": bool(report.is_passive),
-        "method": report.method,
-        "failure_reason": report.failure_reason,
-        "elapsed_seconds": float(report.elapsed_seconds),
-        "steps": [
-            {
-                "name": step.name,
-                "description": step.description,
-                "passed": step.passed,
-                "details": _plain(step.details),
-            }
-            for step in report.steps
-        ],
-        "diagnostics": _plain(report.diagnostics),
-    }
-
-
-def report_from_jsonable(payload: Dict[str, Any]) -> PassivityReport:
-    """Rebuild a :class:`~repro.passivity.PassivityReport` from its dict form.
-
-    Numeric content is preserved (complex tags are revived); diagnostics
-    that were NumPy arrays return as plain lists.
-
-    Raises
-    ------
-    SerializationError
-        When the payload is not a well-formed report document.
-    """
-    if not isinstance(payload, dict):
-        raise SerializationError(
-            f"expected a report document (dict), got {type(payload).__name__}"
-        )
-    if payload.get("kind") != REPORT_KIND:
-        raise SerializationError(
-            f"expected kind {REPORT_KIND!r}, got {payload.get('kind')!r}"
-        )
-    try:
-        report = PassivityReport(
-            is_passive=bool(payload["is_passive"]),
-            method=str(payload["method"]),
-            failure_reason=payload.get("failure_reason"),
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            diagnostics=_revive(payload.get("diagnostics", {})),
-        )
-        for step in payload.get("steps", []):
-            report.steps.append(
-                TestStep(
-                    name=str(step["name"]),
-                    description=str(step["description"]),
-                    passed=step.get("passed"),
-                    details=_revive(step.get("details", {})),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as error:
-        raise SerializationError(
-            f"malformed report payload: {type(error).__name__}: {error}"
-        ) from error
-    return report
 
 
 def job_record_to_jsonable(

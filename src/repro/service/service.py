@@ -25,7 +25,7 @@ Architecture
   ``executor="process"`` the workers boot with a worker-local
   :class:`~repro.engine.DecompositionCache` backed by the service's
   persistent store: a system solved by *any* worker — or any prior run
-  sharing the store — rehydrates its decompositions from disk and costs
+  sharing the store — reads its verdict back from disk and costs
   zero factorizations fleet-wide.  A crashed worker breaks the pool; the
   pool is healed and the interrupted jobs are re-queued within their retry
   budget.  ``close()`` joins the workers when no dispatch is running.
@@ -36,10 +36,15 @@ Architecture
 * **Restart persistence**: with a ``store``, completed jobs are written to
   it and rehydrated on the next start, so ``result()`` (and
   ``GET /jobs/<id>/result``) survives a service restart.
-* **Fingerprint-level deduplication**: a submission whose
-  ``(fingerprint, method, options)`` triple matches an in-flight job is
-  *coalesced* — it never executes; it adopts the primary's report when the
-  primary finishes.  Distinct methods on the same system still share
+* **Fingerprint-level deduplication**: a submission whose verdict key
+  (:func:`~repro.engine.api.verdict_key`: fingerprint, method, runner and
+  the exact form of the options) matches an in-flight job is *coalesced* —
+  it never executes; it adopts the primary's report when the primary
+  finishes.  One that matches a *finished* job whose verdict is cached (in
+  the runner cache or the store) is answered at ``submit``: it is ``DONE``
+  when ``submit`` returns, and is never queued, dispatched or journaled.
+  Options with no exact form are neither coalesced nor answered.  Distinct
+  methods on the same system still share
   decompositions through the runner's cache (whose per-key locks guarantee
   each intermediate — in particular the one ordered QZ of the
   :class:`~repro.linalg.pencil.SpectralContext` — is computed once even when
@@ -74,6 +79,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config import Tolerances
 from repro.descriptor.system import DescriptorSystem
+from repro.engine.api import cached_verdict, verdict_key
 from repro.engine.cache import CacheStats, DecompositionCache, fingerprint_system
 from repro.engine.executor import CellTask, SupervisedPool, init_worker, run_cells
 from repro.engine.incremental import family_key
@@ -90,8 +96,8 @@ from repro.exceptions import (
 )
 from repro.obs.log import get_logger
 from repro.obs.metrics import METRICS, observe_span_tree
-from repro.obs.trace import JobTrace, record_span, trace_span
-from repro.passivity.result import PassivityReport
+from repro.obs.trace import JobTrace, record_span, trace_span, use_trace
+from repro.passivity.result import PassivityReport, _plain, _revive
 from repro.service.jobs import Job, JobHandle, JobState, JobStatus
 from repro.service.journal import JobJournal
 from repro.service.scenario import (
@@ -114,8 +120,6 @@ from repro.service.scenario import (
     trace_event_data,
 )
 from repro.service.serialization import (
-    _plain,
-    _revive,
     job_record_from_jsonable,
     job_record_to_jsonable,
     system_from_jsonable,
@@ -249,11 +253,6 @@ class ServiceStats:
         return asdict(self)
 
 
-def _options_key(options: Dict[str, Any]) -> str:
-    """Stable textual key of a method-options dict (dedup identity)."""
-    return repr(sorted((str(k), repr(v)) for k, v in options.items()))
-
-
 class PassivityService:
     """Async job-queue front-end over the passivity engine.
 
@@ -270,8 +269,10 @@ class PassivityService:
         Per-job timeout in seconds, positive, applied when ``submit`` does
         not override it (``None`` disables).
     dedup:
-        When true (default), identical in-flight submissions — same system
-        fingerprint, method and options — are coalesced onto one execution.
+        When true (default), identical submissions — same system
+        fingerprint, method and options — are coalesced onto one execution
+        while one is in flight, and answered from the cached verdict at
+        ``submit`` once one has finished.  False turns both off.
     max_history:
         Terminal jobs kept for ``status()``/``result()`` polling; the oldest
         are evicted beyond this bound (evicted ids raise
@@ -315,7 +316,8 @@ class PassivityService:
         ``True`` places ``journal.jsonl`` under the store root (requires
         ``store``); a path or :class:`JobJournal` instance uses it as-is;
         ``None``/``False`` (default) disables journaling.  With a journal,
-        every accepted submission is fsynced to disk before ``submit``
+        every accepted submission that ``submit`` did not already answer
+        from a cached verdict is fsynced to disk before ``submit``
         returns, and on construction the service replays
         accepted-but-unfinished entries back into the queue — so a
         ``kill -9`` loses no accepted work.
@@ -456,7 +458,7 @@ class PassivityService:
         self._max_subscribers = int(max_subscribers)
 
         self._jobs: Dict[str, Job] = {}
-        self._inflight: Dict[Tuple[str, str, str], str] = {}
+        self._inflight: Dict[str, str] = {}
         self._history: List[str] = []
         self._scenarios: Dict[str, Scenario] = {}
         self._scenario_history: List[str] = []
@@ -558,7 +560,7 @@ class PassivityService:
             priority=int(record.get("priority", 0)),
             timeout=None,
             fingerprint=record["fingerprint"],
-            key=(record["fingerprint"], record["method"], ""),
+            key=None,
             seq=-1,
             state=state,
         )
@@ -644,7 +646,9 @@ class PassivityService:
                 priority=int(record.get("priority", 0)),
                 timeout=None if timeout is None else float(timeout),
                 fingerprint=fingerprint,
-                key=(fingerprint, method, _options_key(options)),
+                key=verdict_key(
+                    system, method, self._runner.tol, self._runner.registry, options
+                ),
                 seq=next(self._seq),
             )
             job.submitted_at = record.get("submitted_at") or job.submitted_at
@@ -943,7 +947,9 @@ class PassivityService:
         Returns
         -------
         JobHandle
-            Handle for polling, waiting, fetching and cancelling.
+            Handle for polling, waiting, fetching and cancelling.  With
+            ``dedup`` on, a repeat of a finished job whose verdict is cached
+            is already ``DONE`` (answered here, never queued or journaled).
 
         Raises
         ------
@@ -984,11 +990,27 @@ class PassivityService:
             priority=int(priority),
             timeout=self._default_timeout if timeout is None else timeout,
             fingerprint=fingerprint,
-            key=(fingerprint, method, _options_key(options)),
+            key=verdict_key(
+                system, method, self._runner.tol, self._runner.registry, options
+            ),
             seq=next(self._seq),
         )
+        cached: Optional[PassivityReport] = None
+        if self._dedup and job.key is not None and job.key not in self._inflight:
+            # A repeat of a finished job: answered here, before the journal
+            # payload (O(system) JSON) is ever built.  A repeat of a job
+            # still in flight coalesces onto it instead, so it finishes with
+            # its primary, in order (a racy read of the loop's table: a
+            # stale answer either way only picks the other correct path).
+            trace = JobTrace()
+            with use_trace(trace):
+                cached = cached_verdict(
+                    self._runner.cache, job.key, auto=method == "auto"
+                )
+            if cached is not None:
+                job.trace = trace.to_jsonable()
         journal_payload: Optional[Dict[str, Any]] = None
-        if self._journal is not None:
+        if self._journal is not None and cached is None:
             # Serialization is O(system) work — done on the caller's thread,
             # like fingerprinting; the loop thread only appends the line.
             journal_payload = {
@@ -999,7 +1021,7 @@ class PassivityService:
                 "timeout": job.timeout,
                 "submitted_at": job.submitted_at,
             }
-        self._call(self._submit(job, journal_payload=journal_payload))
+        self._call(self._submit(job, journal_payload=journal_payload, cached=cached))
         return JobHandle(self, job.job_id)
 
     async def _submit(
@@ -1007,19 +1029,27 @@ class PassivityService:
         job: Job,
         journal_payload: Optional[Dict[str, Any]] = None,
         replay: bool = False,
+        cached: Optional[PassivityReport] = None,
     ) -> None:
         """Insert the job into the table and queue (loop thread).
 
-        Coalescing is checked before the queue bound — a duplicate of an
-        in-flight job never occupies a slot, so dedup keeps absorbing
-        traffic even when the queue is full.  A rejected job is never
+        Coalescing is checked before the queue bound — a duplicate of a
+        finished job (``cached``, its verdict) resolves ``DONE`` at once and
+        is never journaled, a duplicate of an in-flight job never occupies
+        a slot, so dedup keeps absorbing traffic even when the queue is
+        full.  A rejected job is never
         registered (no handle state leaks), bumps the ``rejected`` counter,
         and is never journaled.  Accepted jobs journal their write-ahead
         record before ``submit`` returns; replayed jobs (``replay=True``)
         are already journaled and bypass the queue bound — they were
         accepted once.
         """
-        if self._dedup:
+        if self._dedup and job.key is not None:
+            if cached is not None:
+                self._jobs[job.job_id] = job
+                self._n_submitted += 1
+                self._finish(job, JobState.DONE, report=cached)
+                return
             primary_id = self._inflight.get(job.key)
             if primary_id is not None:
                 primary = self._jobs.get(primary_id)
@@ -1043,7 +1073,7 @@ class PassivityService:
             )
         self._jobs[job.job_id] = job
         self._n_submitted += 1
-        if self._dedup:
+        if self._dedup and job.key is not None:
             self._inflight[job.key] = job.job_id
         self._journal_submitted(job, journal_payload)
         self._n_queued += 1
@@ -1143,7 +1173,7 @@ class PassivityService:
                 priority=int(spec.priority),
                 timeout=timeout,
                 fingerprint=fingerprint,
-                key=(fingerprint, method, _options_key(cell.options)),
+                key=None,  # cells bypass dedup
                 seq=next(self._seq),
                 scenario_id=scenario_id,
                 cell_index=cell.index,
@@ -1629,8 +1659,12 @@ class PassivityService:
         job.trace = parent_trace.merge(cell_tree).to_jsonable()
         if error_message is not None:
             self._finish(job, JobState.FAILED, error=error_message)
-        else:
-            self._finish(job, JobState.DONE, report=report)
+            return
+        if remote and job.key is not None and not report.diagnostics["engine"]["skipped"]:
+            # The worker persisted the verdict; give this process's L1 a
+            # copy so the next repeat is answered at submit.
+            self._runner.cache.put_verdict(job.key, report, persist=False)
+        self._finish(job, JobState.DONE, report=report)
 
     def _dispatch_failed(self, job: Job, pool: Any, error: Exception) -> None:
         """Resolve a job whose dispatch returned no cell.
@@ -1687,10 +1721,15 @@ class PassivityService:
             and report is not None
         ):
             engine = report.diagnostics.get("engine", {})
-            if not engine.get("incremental") and not engine.get("skipped"):
+            if not (
+                engine.get("incremental")
+                or engine.get("skipped")
+                or engine.get("verdict_cached")
+            ):
                 # Only a cold-run system may become the family's warm-start
-                # root: an incrementally certified child holds no pencil
-                # factors, so warm-starting from it would always fall back.
+                # root: an incrementally certified child — or a cached
+                # verdict — brings no pencil factors, so warm-starting from
+                # it would always fall back.
                 self._family_latest[family_key(job.system)] = job.system
         if self._inflight.get(job.key) == job.job_id:
             del self._inflight[job.key]
@@ -1825,10 +1864,12 @@ class PassivityService:
         Riccati refinement) recorded *inside* the worker thread or process
         — as a plain JSON-able dict:
         ``{"job_id", "state", "spans"}`` with ``spans`` in the
-        :meth:`~repro.obs.JobTrace.to_jsonable` wire shape.  ``spans`` is
-        empty for jobs that resolved without dispatching (cancelled while
-        queued, coalesced duplicates adopt their primary's verdict but not
-        its trace) and for jobs run with the plane disabled.
+        :meth:`~repro.obs.JobTrace.to_jsonable` wire shape.  A job answered
+        at ``submit`` from a cached verdict holds only its ``cache.verdict``
+        span.  ``spans`` is empty for the other jobs that resolved without
+        dispatching (cancelled while queued, coalesced duplicates adopt
+        their primary's verdict but not its trace) and for jobs run with
+        the plane disabled.
 
         Raises
         ------

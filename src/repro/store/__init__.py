@@ -10,8 +10,8 @@ compute-once across *processes and restarts*:
   corruption-tolerant loads) keyed by the same ``(fingerprint, kind)``
   pairs as the cache,
 * :mod:`repro.store.codec` — pickle-free (de)hydration of the persisted
-  cache kinds (spectral context, chain data, admissible reduction,
-  structural profile), including allow-listed negative entries.
+  cache kinds (finished verdicts, admissible reduction, Riccati
+  certificate, update lineage), including allow-listed negative entries.
 
 Attach a store when constructing a cache —
 ``DecompositionCache(store=DecompositionStore("…"))`` — and every consumer

@@ -7,35 +7,36 @@ format of :class:`~repro.store.DecompositionStore`: arrays go in as named
 members (mmap-friendly, no decompression, no pickling), the meta dict rides
 along as one UTF-8 JSON member.
 
+A kind is persisted only when reading it back beats recomputing it.
+
 Persisted kinds
 ---------------
-``pencil_spectrum``
-    :class:`~repro.linalg.pencil.SpectralContext` via its own
-    ``to_arrays``/``from_arrays`` round trip — the big win: a store hit
-    replaces the ordered QZ factorization entirely.
-``chain_data``
-    :class:`~repro.passivity.m1.InfiniteChainData` (the grade-1/2 chain
-    structure the SHH test and the structural profile consume).
+``verdict``
+    The finished :class:`~repro.passivity.PassivityReport` of one
+    ``check_passivity`` call, as its
+    :func:`~repro.passivity.result.report_to_jsonable` document (meta-only).
+    A store hit answers a repeated check with no decomposition at all, in
+    any process sharing the store.
 ``gare_state_space``
     :class:`~repro.descriptor.system.StateSpace` — the admissible
     Schur-complement reduction, *including* negatively cached
     :class:`~repro.exceptions.NotAdmissibleError` refusals.
 ``gare_riccati``
     :class:`~repro.passivity.gare_test.GareCertificate` — the positive-real
-    ARE solve, the dominant cost of a warm GARE re-check; persisting it is
-    what makes store-warm restarts Riccati-free.
-``system_profile``
-    :class:`~repro.engine.cache.SystemProfile` (scalars only; meta-only blob).
+    ARE solve, the dominant cost of a GARE check; a store hit makes a
+    re-check of a known admissible system Riccati-free.
 ``update_lineage``
     :class:`~repro.engine.incremental.UpdateLineage` — provenance of an
     incrementally certified verdict (ancestor fingerprint, delta norms,
     update residual, mechanism); meta-only, so sweep lineage survives
     restarts alongside the certificates it explains.
 
-Kinds without a codec (``weierstrass_form``, ``additive_decomposition``,
-``sparse_deflation``) simply bypass the L2 tier: the L1 cache still shares
-them within a process, and the spectral context they are all derived from
-*is* persisted, so recomputing them from a store-warm cache is cheap.
+Every other kind (``pencil_spectrum``, ``chain_data``, ``system_profile``,
+``weierstrass_form``, ``additive_decomposition``, ``sparse_deflation``)
+bypasses the L2 tier and lives in L1 only.  On the SHH route, writing the
+spectrum, chain data and profile of an order-80 system cost more than a
+later read saved over recomputing them; the incremental tier reads its
+ancestors from L1 only.
 
 Negative entries — exceptions listed in a cache ``cache_errors`` tuple —
 are encoded as ``{"tag": "error", ...}`` meta with the exception type name
@@ -50,25 +51,20 @@ from typing import Any, Callable, Dict, Tuple
 import numpy as np
 
 from repro.descriptor.system import StateSpace
-from repro.engine.cache import (
-    CHAIN_DATA,
-    GARE_RICCATI,
-    GARE_STATE_SPACE,
-    PENCIL_SPECTRUM,
-    SYSTEM_PROFILE,
-    UPDATE_LINEAGE,
-    SystemProfile,
-)
+from repro.engine.cache import GARE_RICCATI, GARE_STATE_SPACE, UPDATE_LINEAGE, VERDICT
 from repro.engine.incremental import UpdateLineage
-from repro.passivity.gare_test import GareCertificate
 from repro.exceptions import (
     NotAdmissibleError,
     ReductionError,
     SerializationError,
     StoreError,
 )
-from repro.linalg.pencil import SpectralContext
-from repro.passivity.m1 import InfiniteChainData
+from repro.passivity.gare_test import GareCertificate
+from repro.passivity.result import (
+    PassivityReport,
+    report_from_jsonable,
+    report_to_jsonable,
+)
 
 __all__ = [
     "PERSISTED_KINDS",
@@ -86,39 +82,6 @@ _REVIVABLE_ERRORS = {
     "NotAdmissibleError": NotAdmissibleError,
     "ReductionError": ReductionError,
 }
-
-
-def _encode_spectral(value: SpectralContext) -> Tuple[Meta, Arrays]:
-    return {}, value.to_arrays()
-
-
-def _decode_spectral(meta: Meta, arrays: Arrays) -> SpectralContext:
-    return SpectralContext.from_arrays(arrays)
-
-
-def _encode_chain_data(value: InfiniteChainData) -> Tuple[Meta, Arrays]:
-    meta = {
-        "n_chains": int(value.n_chains),
-        "has_higher_grade": bool(value.has_higher_grade),
-    }
-    arrays = {
-        "v1_right": np.asarray(value.v1_right, dtype=float),
-        "v2_right": np.asarray(value.v2_right, dtype=float),
-        "v1_left": np.asarray(value.v1_left, dtype=float),
-        "v2_left": np.asarray(value.v2_left, dtype=float),
-    }
-    return meta, arrays
-
-
-def _decode_chain_data(meta: Meta, arrays: Arrays) -> InfiniteChainData:
-    return InfiniteChainData(
-        v1_right=np.asarray(arrays["v1_right"], dtype=float),
-        v2_right=np.asarray(arrays["v2_right"], dtype=float),
-        v1_left=np.asarray(arrays["v1_left"], dtype=float),
-        v2_left=np.asarray(arrays["v2_left"], dtype=float),
-        n_chains=int(meta["n_chains"]),
-        has_higher_grade=bool(meta["has_higher_grade"]),
-    )
 
 
 def _encode_state_space(value: StateSpace) -> Tuple[Meta, Arrays]:
@@ -165,33 +128,12 @@ def _decode_gare_certificate(meta: Meta, arrays: Arrays) -> GareCertificate:
     )
 
 
-def _encode_profile(value: SystemProfile) -> Tuple[Meta, Arrays]:
-    meta = {
-        "fingerprint": value.fingerprint,
-        "order": int(value.order),
-        "n_inputs": int(value.n_inputs),
-        "n_outputs": int(value.n_outputs),
-        "is_square_io": bool(value.is_square_io),
-        "is_regular": bool(value.is_regular),
-        "is_stable": bool(value.is_stable),
-        "n_impulsive_chains": int(value.n_impulsive_chains),
-        "has_higher_grade": bool(value.has_higher_grade),
-    }
-    return meta, {}
+def _encode_verdict(value: PassivityReport) -> Tuple[Meta, Arrays]:
+    return {"report": report_to_jsonable(value)}, {}
 
 
-def _decode_profile(meta: Meta, arrays: Arrays) -> SystemProfile:
-    return SystemProfile(
-        fingerprint=str(meta["fingerprint"]),
-        order=int(meta["order"]),
-        n_inputs=int(meta["n_inputs"]),
-        n_outputs=int(meta["n_outputs"]),
-        is_square_io=bool(meta["is_square_io"]),
-        is_regular=bool(meta["is_regular"]),
-        is_stable=bool(meta["is_stable"]),
-        n_impulsive_chains=int(meta["n_impulsive_chains"]),
-        has_higher_grade=bool(meta["has_higher_grade"]),
-    )
+def _decode_verdict(meta: Meta, arrays: Arrays) -> PassivityReport:
+    return report_from_jsonable(meta["report"])
 
 
 def _encode_lineage(value: "UpdateLineage") -> Tuple[Meta, Arrays]:
@@ -225,11 +167,9 @@ def _decode_lineage(meta: Meta, arrays: Arrays) -> "UpdateLineage":
 
 
 _CODECS: Dict[str, Tuple[Callable[[Any], Tuple[Meta, Arrays]], Callable[[Meta, Arrays], Any]]] = {
-    PENCIL_SPECTRUM: (_encode_spectral, _decode_spectral),
-    CHAIN_DATA: (_encode_chain_data, _decode_chain_data),
+    VERDICT: (_encode_verdict, _decode_verdict),
     GARE_STATE_SPACE: (_encode_state_space, _decode_state_space),
     GARE_RICCATI: (_encode_gare_certificate, _decode_gare_certificate),
-    SYSTEM_PROFILE: (_encode_profile, _decode_profile),
     UPDATE_LINEAGE: (_encode_lineage, _decode_lineage),
 }
 

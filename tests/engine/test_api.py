@@ -256,13 +256,21 @@ class TestCachedUncachedAgreement:
         uncached = shh_passivity_test(system)
         cache = DecompositionCache()
         warm = check_passivity(system, method="shh", cache=cache)
-        hot = check_passivity(system, method="shh", cache=cache)
+        # A different method on the same system: it runs, and its profile
+        # reads the chain analysis the SHH run cached.
+        hot = check_passivity(system, method="auto", cache=cache)
         assert warm.is_passive == uncached.is_passive
         assert hot.is_passive == uncached.is_passive
         assert warm.failure_reason == uncached.failure_reason
         # The second run reused the chain analysis.
         assert cache.stats.hits_for("chain_data") >= 1
         assert cache.stats.misses_for("chain_data") == 1
+        # A repeat of the SHH call is answered by its cached verdict.
+        again = check_passivity(system, method="shh", cache=cache)
+        assert again.diagnostics["engine"]["verdict_cached"] is True
+        assert again.diagnostics["engine"]["factorizations"] == 0
+        assert again.is_passive == uncached.is_passive
+        assert again.failure_reason == uncached.failure_reason
 
 
 class TestBatchCacheAcceptance:

@@ -95,7 +95,9 @@ class TestPerCellProgress:
         outcome = BatchRunner(
             backend=backend, max_workers=1, incremental="sweep", registry=registry
         ).run(
-            [rlc_ladder(3).system] * 4,
+            # Distinct systems of one family: a repeat would be answered by
+            # its cached verdict instead of running.
+            [rlc_ladder(3, series_resistance=0.4 + 0.1 * k).system for k in range(4)],
             methods=("quarter-second",),
             progress=lambda result: arrivals.append(time.perf_counter()),
         )

@@ -104,11 +104,15 @@ class TestContextsInTransit:
         context = compute_spectral_context(
             np.eye(n), rng.standard_normal((n, n)), DEFAULT_TOLERANCES
         )
-        sent = context.to_arrays()
-        received = _pickled(context).to_arrays()
-        assert set(received) == set(sent)
-        for key, value in sent.items():
-            assert np.array_equal(received[key], value), key
+        received = _pickled(context)
+        assert (received.is_regular, received.n_finite) == (
+            context.is_regular, context.n_finite
+        )
+        for name in ("aa", "ee", "q", "z", "alpha", "beta"):
+            assert np.array_equal(getattr(received, name), getattr(context, name)), name
+        assert np.array_equal(received.spectrum.finite, context.spectrum.finite)
+        for name in ("n_infinite", "n_stable", "n_unstable", "n_imaginary"):
+            assert getattr(received.spectrum, name) == getattr(context.spectrum, name)
 
     def test_context_shared_by_two_positions_travels_once(self):
         system = _dense()

@@ -243,10 +243,12 @@ class TestCacheSharingAcrossCells:
         first = runner.run(batch_systems, methods=("proposed",))
         second = runner.run(batch_systems, methods=("proposed",))
         n_systems = len(batch_systems)
-        # The first sweep computed everything; the second ran fully warm and
-        # its outcome must not inherit the first sweep's counters (nor mutate
-        # the first outcome retroactively).
+        # The first sweep computed everything; the second ran fully warm (a
+        # cached verdict per cell) and its outcome must not inherit the
+        # first sweep's counters (nor mutate the first outcome
+        # retroactively).
         assert first.cache_stats.misses_for("chain_data") == n_systems
         assert second.cache_stats.misses_for("chain_data") == 0
-        assert second.cache_stats.hits_for("chain_data") == n_systems
+        assert second.cache_stats.hits_for("verdict") == n_systems
+        assert second.cache_stats.factorizations == 0
         assert first.cache_stats.misses_for("chain_data") == n_systems

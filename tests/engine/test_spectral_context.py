@@ -169,7 +169,10 @@ class TestCachePlumbing:
 class TestEngineDiagnosticsSchema:
     """All three check_passivity exits emit the same engine payload."""
 
-    SCHEMA = {"method", "auto", "cached", "skipped", "factorizations", "incremental"}
+    SCHEMA = {
+        "method", "auto", "cached", "skipped", "factorizations", "incremental",
+        "verdict_cached",
+    }
 
     def test_success_exit(self, small_rc_line):
         report = check_passivity(small_rc_line, method="auto")
@@ -195,6 +198,16 @@ class TestEngineDiagnosticsSchema:
         assert set(engine) == self.SCHEMA
         assert engine["skipped"] is False
         assert report.is_passive is False
+
+    def test_verdict_hit_exit(self, small_rc_line):
+        cache = DecompositionCache()
+        cold = check_passivity(small_rc_line, method="auto", cache=cache)
+        hit = check_passivity(small_rc_line, method="auto", cache=cache)
+        for report in (cold, hit):
+            assert set(report.diagnostics["engine"]) == self.SCHEMA
+        assert cold.diagnostics["engine"]["verdict_cached"] is False
+        assert hit.diagnostics["engine"]["verdict_cached"] is True
+        assert hit.diagnostics["engine"]["method"] == cold.diagnostics["engine"]["method"]
 
     def test_warm_cache_reports_zero_factorizations(self, small_rc_line):
         cache = DecompositionCache()

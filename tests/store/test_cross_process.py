@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro.circuits import rlc_grid
 from repro.engine import DecompositionCache
-from repro.engine.cache import PENCIL_SPECTRUM
+from repro.engine.cache import GARE_RICCATI
 from repro.store import DecompositionStore
 
 #: Run one auto check against a store-backed cache and report QZ counts.
@@ -118,7 +118,7 @@ class TestProcessBackendShipsTheStore:
         assert outcome.results[0].is_passive
         # The worker (a different process) wrote through to the store...
         assert store.contains(
-            repro.engine.fingerprint_system(system, runner.tol), PENCIL_SPECTRUM
+            repro.engine.fingerprint_system(system, runner.tol), GARE_RICCATI
         )
         # ...so a fresh serial runner sharing the store recomputes nothing.
         warm = BatchRunner(

@@ -21,7 +21,7 @@ from repro.engine import (
     check_passivity,
     fingerprint_system,
 )
-from repro.engine.cache import GARE_STATE_SPACE, PENCIL_SPECTRUM
+from repro.engine.cache import GARE_RICCATI, GARE_STATE_SPACE, PENCIL_SPECTRUM
 from repro.exceptions import NotAdmissibleError, SerializationError
 from repro.linalg.pencil import compute_spectral_context
 from repro.store import DecompositionStore
@@ -35,19 +35,20 @@ def store(tmp_path):
 class TestL2Telemetry:
     def test_miss_then_hit_counters(self, store, small_rlc_ladder):
         cold = DecompositionCache(store=store)
-        cold.spectral(small_rlc_ladder)
+        cold.gare_state_space(small_rlc_ladder)
+        # The reduction consults L2; its spectral dependency is L1-only.
         assert cold.stats.l2_misses == 1
         assert cold.stats.l2_hits == 0
-        assert cold.stats.factorizations == 1
+        assert cold.stats.factorizations == 2
         # A *different* cache sharing the store rehydrates: L1 miss, L2 hit,
         # zero factorizations.
         warm = DecompositionCache(store=store)
-        context = warm.spectral(small_rlc_ladder)
-        assert context.is_regular
+        reduced = warm.gare_state_space(small_rlc_ladder)
+        assert reduced.a.shape[0] > 0
         assert warm.stats.l2_hits == 1
         assert warm.stats.misses == 1
         assert warm.stats.factorizations == 0
-        assert warm.stats.by_kind[PENCIL_SPECTRUM]["l2_hits"] == 1
+        assert warm.stats.by_kind[GARE_STATE_SPACE]["l2_hits"] == 1
 
     def test_storeless_cache_reports_zero_l2(self, small_rlc_ladder):
         cache = DecompositionCache()
@@ -79,17 +80,14 @@ class TestL2Telemetry:
         probe = DecompositionStore(tmp_path / "probe")
         probe.put(
             fingerprint_system(small_rlc_ladder),
-            PENCIL_SPECTRUM,
-            (
-                "value",
-                compute_spectral_context(small_rlc_ladder.e, small_rlc_ladder.a),
-            ),
+            GARE_STATE_SPACE,
+            ("value", DecompositionCache().gare_state_space(small_rlc_ladder)),
         )
-        budget = probe.total_bytes  # fits roughly one spectral blob
+        budget = probe.total_bytes  # fits roughly one reduction blob
         store = DecompositionStore(tmp_path / "store", size_budget=budget)
         cache = DecompositionCache(store=store)
         for rows in (3, 4, 5):
-            cache.spectral(rlc_grid(rows, 3, sparse=False).system)
+            cache.gare_state_space(rlc_grid(rows, 3, sparse=False).system)
         assert store.n_evictions > 0
         assert cache.stats.l2_evictions == store.n_evictions
 
@@ -135,33 +133,38 @@ class TestColdStartRegression:
 
     def test_corrupt_blob_falls_back_to_compute(self, store, small_rlc_ladder):
         cache = DecompositionCache(store=store)
-        cache.spectral(small_rlc_ladder)
+        cache.gare_certificate(small_rlc_ladder)
         fingerprint = fingerprint_system(small_rlc_ladder)
         blob = (
             store.root
             / "objects"
             / fingerprint[:2]
-            / f"{fingerprint}.{PENCIL_SPECTRUM}.npz"
+            / f"{fingerprint}.{GARE_RICCATI}.npz"
         )
         blob.write_bytes(blob.read_bytes()[:40])
         fresh = DecompositionCache(store=store)
-        context = fresh.spectral(small_rlc_ladder)  # recomputes, no raise
-        assert context.is_regular
+        # Recomputes the certificate (no raise) on the reduction read from L2.
+        certificate = fresh.gare_certificate(small_rlc_ladder)
+        assert certificate.x is not None
         assert fresh.stats.l2_misses == 1
         assert fresh.stats.factorizations == 1
         # ...and the recomputation repaired the blob for the next reader.
         repaired = DecompositionCache(store=store)
-        repaired.spectral(small_rlc_ladder)
+        repaired.gare_certificate(small_rlc_ladder)
         assert repaired.stats.l2_hits == 1
 
     def test_unpersistable_kinds_bypass_the_store(self, store, mixed_passive_system):
         cache = DecompositionCache(store=store)
         cache.weierstrass(mixed_passive_system)
-        # weierstrass_form has no codec: only its spectral dependency hits
-        # the L2 tier; no weierstrass blob appears on disk.
+        # Neither weierstrass_form nor its spectral dependency has a codec:
+        # both stay in L1, no blob appears on disk and L2 is never asked.
         fingerprint = fingerprint_system(mixed_passive_system)
         assert not store.contains(fingerprint, "weierstrass_form")
-        assert store.contains(fingerprint, PENCIL_SPECTRUM)
+        assert not store.contains(fingerprint, PENCIL_SPECTRUM)
+        assert len(store) == 0
+        assert cache.stats.l2_misses == 0
+        cache.weierstrass(mixed_passive_system)
+        assert cache.stats.hits_for("weierstrass_form") == 1
 
 
 class TestSeedValidation:
