@@ -1,13 +1,14 @@
-"""Persistent-store benchmark: warm-start speedup and cross-process dedup.
+"""Persistent-store benchmark: warm-start speedup and cross-process verdicts.
 
-Quantifies the L2 decomposition store on the workloads the ISSUE targets
-(dense admissible grids, order >= 200 in the default mode):
+Quantifies the L2 verdict store on dense admissible grids (order >= 200 in
+the default mode).  The store holds finished verdicts only, so both gates
+below pass through the ``verdict`` kind:
 
 * **Warm-start round** — per workload, three configurations of
   ``check_passivity(system, "auto")`` are timed:
 
   - ``cold_store`` — a fresh :class:`DecompositionCache` writing through to
-    a *fresh* (empty) store: full compute plus the persistence cost,
+    a *fresh* (empty) store: full compute plus the one verdict write,
   - ``warm_start`` — a **fresh cache** attached to the *populated* store:
     the finished report (the ``verdict`` kind) is read back from disk, so
     no decomposition is needed at all — zero QZ factorizations,
@@ -17,10 +18,11 @@ Quantifies the L2 decomposition store on the workloads the ISSUE targets
   workloads: restarting a service (or booting a new worker) must be at
   least 3x cheaper than computing from scratch.
 
-* **Cross-process dedup round** — a *separate interpreter* (``subprocess``)
-  checks a system against the shared store twice: the first process pays
-  the factorizations, the second must report **zero** QZ calls and
-  ``l2_hits > 0``.  This is the fleet-wide compute-once guarantee.
+* **Cross-process verdict round** — a *separate interpreter*
+  (``subprocess``) checks a system against the shared store twice: the
+  first process pays the factorizations, the second reads the stored
+  verdict and must report **zero** QZ calls and ``l2_hits > 0``.  This is
+  the fleet-wide compute-once guarantee.
 
 Results go to a machine-readable ``BENCH_store.json``.
 

@@ -15,8 +15,8 @@ The top-level namespace re-exports the objects most users need:
   (submit/poll/cancel with fingerprint-level deduplication, optional
   process-pool execution and queue backpressure; see :mod:`repro.service`),
 * :class:`DecompositionStore` — the persistent (file-backed) L2 tier behind
-  :class:`DecompositionCache`, sharing decompositions across processes and
-  restarts (see :mod:`repro.store`),
+  :class:`DecompositionCache`, sharing finished verdicts across processes
+  and restarts (see :mod:`repro.store`),
 * :class:`DescriptorSystem` / :class:`StateSpace` — system containers,
 * :func:`shh_passivity_test` — the paper's O(n^3) structure-preserving test,
 * :func:`lmi_passivity_test`, :func:`weierstrass_passivity_test`,

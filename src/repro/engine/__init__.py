@@ -52,7 +52,6 @@ from repro.engine.incremental import (
     DeltaFingerprint,
     IncrementalConfig,
     MatrixDelta,
-    UpdateLineage,
     attempt_incremental,
     delta_distance,
     structured_delta,
@@ -89,7 +88,6 @@ __all__ = [
     "DeltaFingerprint",
     "IncrementalConfig",
     "MatrixDelta",
-    "UpdateLineage",
     "attempt_incremental",
     "delta_distance",
     "structured_delta",

@@ -19,7 +19,9 @@ One kind holds no intermediate: ``verdict`` is the finished
 :class:`~repro.passivity.PassivityReport` of a ``check_passivity`` call,
 keyed by :func:`~repro.engine.api.verdict_key` (fingerprint, method, runner,
 options in their :func:`canonical_options` form) and read through
-:meth:`DecompositionCache.verdict` before any other work.
+:meth:`DecompositionCache.verdict` before any other work.  It is also the
+only kind the optional persistent store (L2) holds; every intermediate lives
+in L1 only.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ __all__ = [
     "SYSTEM_PROFILE",
     "PENCIL_SPECTRUM",
     "SPARSE_DEFLATION",
-    "UPDATE_LINEAGE",
     "VERDICT",
     "KNOWN_KINDS",
     "ANCESTOR_KINDS",
@@ -83,11 +84,10 @@ GARE_STATE_SPACE = "gare_state_space"
 GARE_RICCATI = "gare_riccati"
 SYSTEM_PROFILE = "system_profile"
 PENCIL_SPECTRUM = "pencil_spectrum"
-UPDATE_LINEAGE = "update_lineage"
 #: The finished report of one ``check_passivity`` call.  Keyed by a verdict
 #: key, not a system fingerprint, so it is read and written only through
 #: :meth:`DecompositionCache.verdict` / :meth:`DecompositionCache.put_verdict`
-#: and is not in :data:`KNOWN_KINDS`.
+#: and is not in :data:`KNOWN_KINDS`.  The only kind the L2 store holds.
 VERDICT = "verdict"
 
 #: Every cache kind the engine knows how to produce and consume.
@@ -104,7 +104,6 @@ KNOWN_KINDS = frozenset(
         SYSTEM_PROFILE,
         PENCIL_SPECTRUM,
         SPARSE_DEFLATION,
-        UPDATE_LINEAGE,
     }
 )
 
@@ -232,11 +231,11 @@ class CacheStats:
     for" telemetry the single-factorization regression tests pin down.
 
     ``l2_hits`` / ``l2_misses`` / ``l2_evictions`` account for the optional
-    persistent store tier (:class:`~repro.store.DecompositionStore`): an L1
-    miss that rehydrates from the store is an ``l2_hit`` (and performs no
-    factorization), one that falls through to compute is an ``l2_miss``, and
-    store-side size-budget evictions triggered by this cache's writes are
-    ``l2_evictions``.  All three stay zero for a store-less cache.
+    persistent verdict store (:class:`~repro.store.DecompositionStore`): an
+    L1 verdict miss answered from the store is an ``l2_hit``, one the store
+    cannot answer is an ``l2_miss``, and store-side size-budget evictions
+    triggered by this cache's writes are ``l2_evictions``.  They count only
+    under ``verdict`` and stay zero for a store-less cache.
 
     ``incremental_hits`` / ``incremental_fallbacks`` account for the
     perturbation-aware tier (:mod:`repro.engine.incremental`): a hit is a
@@ -396,13 +395,14 @@ class DecompositionCache:
         Maximum number of cached entries (across all kinds); the least
         recently used entry is evicted first.  ``None`` disables eviction.
     store:
-        Optional persistent L2 tier (:class:`~repro.store.DecompositionStore`
-        or anything with its ``accepts``/``load``/``put`` surface).  An L1
-        miss of a persistable kind first consults the store — a hit
-        rehydrates the entry with **no** recomputation (``stats.l2_hits``) —
-        and computed entries are written back best-effort, so identical
-        systems share decompositions across processes and restarts.  Store
-        failures never fail a lookup; they degrade to computing.
+        Optional persistent verdict tier (:class:`~repro.store.DecompositionStore`
+        or anything with its ``load``/``put`` surface).  An L1 miss in
+        :meth:`verdict` consults the store — a hit answers the check with no
+        work at all (``stats.l2_hits``) — and :meth:`put_verdict` writes
+        finished reports back best-effort, so identical checks share their
+        verdict across processes and restarts.  Intermediates never reach
+        the store.  Store failures never fail a lookup; they degrade to
+        computing.
     """
 
     def __init__(
@@ -539,12 +539,8 @@ class DecompositionCache:
         concurrent access (a per-key lock serializes racing threads) and the
         result is stored.  Exceptions of a type listed in ``cache_errors`` are
         cached as negative entries and re-raised on every subsequent lookup;
-        any other exception propagates without polluting the cache.
-
-        With a persistent store attached, an L1 miss of a persistable kind
-        first tries the store (an L2 hit rehydrates without computing and
-        without counting a factorization) and computed entries — including
-        the negative ones — are written back best-effort.
+        any other exception propagates without polluting the cache.  L1
+        only: the store holds verdicts, not intermediates.
         """
         key = (fingerprint_system(system, tol), kind)
         if kind in ANCESTOR_KINDS:
@@ -562,20 +558,11 @@ class DecompositionCache:
                     if cached is not None:
                         span.set(outcome="l1_hit")
                         return self._unwrap(key, kind, cached)
-                rehydrated = self._load_from_store(key, kind)
-                if rehydrated is not None:
-                    span.set(outcome="l2_hit")
-                    self._store(key, kind, rehydrated, computed=False)
-                    tag, payload = rehydrated
-                    if tag == "error":
-                        raise payload
-                    return payload
                 span.set(outcome="computed")
                 try:
                     value = compute()
                 except cache_errors as error:
                     self._store(key, kind, ("error", error), computed=True)
-                    self._persist(key, kind, ("error", error))
                     raise
                 except BaseException:
                     # Not cached: drop the per-key lock so repeated failures
@@ -585,7 +572,6 @@ class DecompositionCache:
                         self._key_locks.pop(key, None)
                     raise
                 self._store(key, kind, ("value", value), computed=True)
-                self._persist(key, kind, ("value", value))
                 return value
 
     def contains(
@@ -594,7 +580,11 @@ class DecompositionCache:
         kind: str,
         tol: Optional[Tolerances] = None,
     ) -> bool:
-        """True when an entry of ``kind`` is cached for ``system`` (no stats)."""
+        """True when an entry of ``kind`` is cached for ``system`` (no stats).
+
+        Reads L1 only, by design: the store holds verdicts, never the
+        factors an incremental update needs from an ancestor.
+        """
         key = (fingerprint_system(system, tol), kind)
         with self._lock:
             return key in self._entries
@@ -605,7 +595,6 @@ class DecompositionCache:
         kind: str,
         value: Any,
         tol: Optional[Tolerances] = None,
-        persist: bool = False,
     ) -> None:
         """Store a precomputed intermediate without running (or counting) a compute.
 
@@ -613,13 +602,6 @@ class DecompositionCache:
         runner computes a system's spectral context once in the parent and
         seeds each worker-local cache with it, so the worker's lookups are
         hits and its ``factorizations`` counter stays at zero.
-
-        With ``persist=True`` the entry is also written through to the L2
-        store (best-effort, when one is attached and accepts the kind).
-        Plain seeds skip L2 on purpose — they mirror values the computing
-        process already persisted — but the incremental tier's artifacts
-        (certificates, update lineage) are *born* via seed and would
-        otherwise never survive a restart.
 
         Raises
         ------
@@ -637,8 +619,6 @@ class DecompositionCache:
         if kind in ANCESTOR_KINDS:
             self.register_ancestor(system, tol)
         self._store(key, kind, ("value", value), computed=False, count_miss=False)
-        if persist:
-            self._persist(key, kind, ("value", value))
 
     def verdict(self, key: str) -> Optional[PassivityReport]:
         """The finished report cached under verdict key ``key``, or ``None``.
@@ -658,15 +638,22 @@ class DecompositionCache:
                 # Stored reports are never mutated, so copy outside the lock.
                 span.set(outcome="l1_hit")
                 return copy.deepcopy(cached[1])
-            loaded = self._load_from_store(entry_key, VERDICT)
+            loaded = None
+            if self.store is not None:
+                try:
+                    loaded = self.store.load(key)
+                except Exception:  # noqa: BLE001 - L2 is an accelerator, not a dependency
+                    pass
+                with self._lock:
+                    self.stats.record_l2(VERDICT, hit=loaded is not None)
             if loaded is None:
                 with self._lock:
                     self.stats.record(VERDICT, hit=False)
                 span.set(outcome="miss")
                 return None
             span.set(outcome="l2_hit")
-            self._store(entry_key, VERDICT, loaded, computed=False)
-            return copy.deepcopy(loaded[1])
+            self._store(entry_key, VERDICT, ("value", loaded), computed=False)
+            return copy.deepcopy(loaded)
 
     def put_verdict(
         self, key: str, report: PassivityReport, persist: bool = True
@@ -678,40 +665,13 @@ class DecompositionCache:
         Counts neither a miss nor a factorization: the lookup that missed
         and the decompositions behind the report were counted already.
         """
-        entry = ("value", copy.deepcopy(report))
-        entry_key = (key, VERDICT)
-        self._store(entry_key, VERDICT, entry, computed=False, count_miss=False)
-        if persist:
-            self._persist(entry_key, VERDICT, entry)
-
-    # ------------------------------------------------------------------
-    # Persistent store (L2) plumbing — best-effort by design: the store
-    # accelerates lookups but must never fail them.
-    # ------------------------------------------------------------------
-    def _load_from_store(
-        self, key: Tuple[str, str], kind: str
-    ) -> Optional[Tuple[str, Any]]:
-        """Fetch an entry from the L2 store, recording l2 telemetry."""
-        store = self.store
-        if store is None or not store.accepts(kind):
-            return None
-        fingerprint, _ = key
-        try:
-            entry = store.load(fingerprint, kind)
-        except Exception:  # noqa: BLE001 - L2 is an accelerator, not a dependency
-            entry = None
-        with self._lock:
-            self.stats.record_l2(kind, hit=entry is not None)
-        return entry
-
-    def _persist(self, key: Tuple[str, str], kind: str, entry: Tuple[str, Any]) -> None:
-        """Write a computed entry back to the L2 store (best-effort)."""
-        store = self.store
-        if store is None or not store.accepts(kind):
+        stored = copy.deepcopy(report)
+        self._store((key, VERDICT), VERDICT, ("value", stored), computed=False,
+                    count_miss=False)
+        if not persist or self.store is None:
             return
-        fingerprint, _ = key
         try:
-            evicted = store.put(fingerprint, kind, entry)
+            evicted = self.store.put(key, stored)
         except Exception:  # noqa: BLE001 - persistence failures degrade, not fail
             return
         if evicted:
@@ -848,10 +808,9 @@ class DecompositionCache:
 
         Built on top of :meth:`gare_state_space`, so one cache fetch chain
         answers the whole GARE pipeline — admissibility, reduction and ARE
-        solve — from prior work; with a persistent store attached this makes
-        a re-check of a known system Riccati-free across processes and
-        restarts.  Solver failures are *values* here (captured inside the
-        certificate), so they are cached and persisted like successes.
+        solve — from prior work in this cache.  Solver failures are *values*
+        here (captured inside the certificate), so they are cached like
+        successes.
 
         Raises
         ------
@@ -888,29 +847,6 @@ class DecompositionCache:
     ) -> "SystemProfile":
         """Cached :func:`profile_system` of the system."""
         return profile_system(system, tol, cache=self)
-
-    def update_lineage(
-        self, system: DescriptorSystem, tol: Optional[Tolerances] = None
-    ) -> Optional[Any]:
-        """The system's incremental-update provenance record, if any.
-
-        Returns the :class:`~repro.engine.incremental.UpdateLineage` seeded
-        by a successful incremental certification (possibly rehydrated from
-        the L2 store), or ``None`` for a cold-certified system.  A pure
-        peek: no compute, no hit/miss accounting.
-        """
-        key = (fingerprint_system(system, tol), UPDATE_LINEAGE)
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is None and self.store is not None:
-            entry = self._load_from_store(key, UPDATE_LINEAGE)
-            if entry is not None:
-                self._store(key, UPDATE_LINEAGE, entry, computed=False,
-                            count_miss=False)
-        if entry is None:
-            return None
-        tag, payload = entry
-        return payload if tag == "value" else None
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,10 @@ The three update mechanisms (tentpole item 2):
 
 :func:`attempt_incremental` orchestrates the full check for the engine's
 ``check_passivity(..., ancestor=...)`` front door and seeds every certified
-intermediate (state space, certificate, profile, update lineage) back into
-the cache, so the freshly certified system immediately becomes the next
-corner's ancestor.
+intermediate (state space, certificate, profile) back into the cache, so the
+freshly certified system immediately becomes the next corner's ancestor.  The
+update's provenance rides in the report's ``diagnostics["incremental"]``, so
+it persists with the cached verdict it explains.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.engine.cache import (
     GARE_STATE_SPACE,
     PENCIL_SPECTRUM,
     SYSTEM_PROFILE,
-    UPDATE_LINEAGE,
     DecompositionCache,
     SystemProfile,
     fingerprint_system,
@@ -92,7 +92,6 @@ __all__ = [
     "delta_distance",
     "family_key",
     "choose_family_root",
-    "UpdateLineage",
     "IncrementalConfig",
     "DEFAULT_INCREMENTAL_CONFIG",
     "update_spectral_context",
@@ -212,7 +211,7 @@ def structured_delta(
 
     ``ranks=False`` skips the per-matrix delta-rank SVDs (the rank fields
     come back ``-1``); the incremental hot path uses this because its gates
-    and lineage only consume norms and sparsity patterns.
+    and provenance only consume norms and sparsity patterns.
     """
     tol = tol or DEFAULT_TOLERANCES
     deltas = {
@@ -295,31 +294,6 @@ def choose_family_root(systems) -> int:
         for member in members
     ]
     return int(np.argmin(totals))
-
-
-# ----------------------------------------------------------------------
-# Update lineage (persisted via the cache / store, kind ``update_lineage``)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class UpdateLineage:
-    """Provenance record of one incremental certification.
-
-    Cached (and persisted by the store codec) under the child system's
-    fingerprint with kind :data:`~repro.engine.cache.UPDATE_LINEAGE`, so a
-    sweep's warm-start chain survives restarts and can be audited: which
-    ancestor seeded each verdict, how large the delta was, what residual the
-    certified update carried and whether the Riccati stage warm-started or
-    fell back to a cold solve.
-    """
-
-    child_fingerprint: str
-    ancestor_fingerprint: str
-    distance: float
-    delta_norms: Dict[str, float]
-    residual: float
-    newton_steps: int
-    mechanism: str
-    certified: bool = True
 
 
 # ----------------------------------------------------------------------
@@ -882,9 +856,10 @@ def attempt_incremental(
     to the GARE method (admissible, dense); anything else falls back.
 
     On success the verdict report is returned with
-    ``diagnostics["incremental"]`` provenance, every certified intermediate
-    is seeded into the cache (``gare_state_space``, ``gare_riccati``,
-    ``system_profile``, ``update_lineage``) and
+    ``diagnostics["incremental"]`` provenance (ancestor fingerprint, delta
+    distance and per-matrix delta norms, update residual, mechanism, Newton
+    steps), every certified intermediate is seeded into the cache
+    (``gare_state_space``, ``gare_riccati``, ``system_profile``) and
     ``CacheStats.incremental_hits`` is bumped.  On any certification failure
     ``None`` is returned and ``CacheStats.incremental_fallbacks`` is bumped;
     the caller must then run the cold path, so a fallback verdict is by
@@ -1016,29 +991,20 @@ def attempt_incremental(
         fallback()
         return None
 
-    lineage = UpdateLineage(
-        child_fingerprint=delta.child_fingerprint,
-        ancestor_fingerprint=delta.ancestor_fingerprint,
-        distance=delta.distance,
-        delta_norms={name: d.norm for name, d in delta.deltas.items()},
-        residual=residual,
-        newton_steps=newton_steps,
-        mechanism=mechanism,
-    )
     # Seed every certified intermediate: the freshly certified system is now
     # a first-class cache citizen (and the next corner's ancestor).  The
     # decision-only spectral context is deliberately NOT seeded — it has no
     # factors and must never satisfy a pencil_spectrum lookup.
-    cache.seed(system, GARE_STATE_SPACE, state_space, tol, persist=True)
-    cache.seed(system, GARE_RICCATI, certificate, tol, persist=True)
+    cache.seed(system, GARE_STATE_SPACE, state_space, tol)
+    cache.seed(system, GARE_RICCATI, certificate, tol)
     cache.seed(system, SYSTEM_PROFILE, _certified_profile(system, context, tol), tol)
-    cache.seed(system, UPDATE_LINEAGE, lineage, tol, persist=True)
     cache.register_ancestor(ancestor, tol)
     cache.stats.record_incremental(True, residual)
 
     report.diagnostics["incremental"] = {
-        "ancestor_fingerprint": lineage.ancestor_fingerprint,
-        "distance": lineage.distance,
+        "ancestor_fingerprint": delta.ancestor_fingerprint,
+        "distance": delta.distance,
+        "delta_norms": {name: d.norm for name, d in delta.deltas.items()},
         "residual": residual,
         "mechanism": mechanism,
         "newton_steps": newton_steps,

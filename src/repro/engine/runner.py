@@ -30,7 +30,7 @@ Backends
     be picklable (module-level functions) — the built-in registry qualifies.
     When the runner's cache has a persistent store attached, the workers'
     caches are backed by it (they re-open the same root), so they share
-    decompositions through the L2 tier as well.  Every payload (systems,
+    finished verdicts through the L2 tier as well.  Every payload (systems,
     spectral contexts) travels through the lane's pickle pipe.  A worker
     crash rebuilds only its own lane and resubmits the lane's unfinished
     cells once.

@@ -74,11 +74,11 @@ class SerializationError(ReproError, ValueError):
 
 
 class StoreError(ReproError):
-    """The persistent decomposition store was misconfigured or misused.
+    """The persistent verdict store was misconfigured or misused.
 
     Raised by :class:`~repro.store.DecompositionStore` for *setup* problems —
-    an unusable root directory, a non-positive size budget, an attempt to
-    persist a kind the store has no codec for.  Runtime blob corruption is
+    an unusable root directory, a non-positive size budget, a malformed
+    verdict key, a failed write.  Runtime blob corruption is
     deliberately **not** an error: corrupt or truncated blobs are treated as
     cache misses (and removed), so a damaged store degrades to recomputation
     instead of failing requests.

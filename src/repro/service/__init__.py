@@ -30,7 +30,7 @@ heavy concurrent traffic:
 With a :class:`~repro.store.DecompositionStore` attached
 (``PassivityService(store=...)``) the service gains restart persistence of
 completed results and, under ``executor="process"``, a process-pool mode
-whose workers share decompositions fleet-wide through the on-disk L2 tier;
+whose workers share finished verdicts fleet-wide through the on-disk L2 tier;
 ``max_queue`` bounds the backlog and surfaces overflow as
 :class:`~repro.exceptions.QueueFullError` (HTTP ``429``).
 

@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         choices=("thread", "process"),
         default="thread",
         help="execution mode: in-process thread pool, or a process pool "
-        "whose workers share decompositions through --store",
+        "whose workers share verdicts through --store",
     )
     parser.add_argument(
         "--max-queue",
@@ -62,8 +62,8 @@ def main(argv=None) -> int:
         "--store",
         default=None,
         metavar="DIR",
-        help="persistent decomposition/job store directory (e.g. "
-        "./.repro-store); decompositions and completed results then "
+        help="persistent verdict/job store directory (e.g. "
+        "./.repro-store); verdicts and completed results then "
         "survive restarts",
     )
     parser.add_argument(

@@ -283,7 +283,7 @@ class PassivityService:
         :class:`~concurrent.futures.ProcessPoolExecutor` whose workers hold
         worker-local caches backed by the ``store`` — the mode for
         CPU-saturating traffic, where the GIL-free workers and the shared
-        on-disk tier keep every decomposition compute-once fleet-wide.
+        on-disk tier keep every verdict compute-once fleet-wide.
         Systems, options and (custom) registries must be picklable in this
         mode, and a crashed worker surfaces as a ``FAILED`` job.
     max_queue:
@@ -709,7 +709,7 @@ class PassivityService:
 
     @property
     def store(self) -> Optional[DecompositionStore]:
-        """The persistent decomposition/job store (``None`` when detached)."""
+        """The persistent verdict/job store (``None`` when detached)."""
         return self._store
 
     def start(self) -> "PassivityService":
@@ -757,9 +757,14 @@ class PassivityService:
         # Journal replay: accepted-but-unfinished jobs of the previous
         # incarnation re-enter the queue (bypassing the max_queue bound —
         # they were already accepted once) before any new traffic arrives.
+        # A job whose worker persisted its verdict before the crash is
+        # answered from the store instead of running again.
         for job in self._replayed_jobs:
             try:
-                await self._submit(job, replay=True)
+                cached = None
+                if self._dedup and job.key is not None:
+                    cached = self._cached_answer(job)
+                await self._submit(job, replay=True, cached=cached)
                 self._n_replayed += 1
             except Exception:  # noqa: BLE001 - replay is best-effort
                 continue
@@ -1002,13 +1007,7 @@ class PassivityService:
             # still in flight coalesces onto it instead, so it finishes with
             # its primary, in order (a racy read of the loop's table: a
             # stale answer either way only picks the other correct path).
-            trace = JobTrace()
-            with use_trace(trace):
-                cached = cached_verdict(
-                    self._runner.cache, job.key, auto=method == "auto"
-                )
-            if cached is not None:
-                job.trace = trace.to_jsonable()
+            cached = self._cached_answer(job)
         journal_payload: Optional[Dict[str, Any]] = None
         if self._journal is not None and cached is None:
             # Serialization is O(system) work — done on the caller's thread,
@@ -1023,6 +1022,17 @@ class PassivityService:
             }
         self._call(self._submit(job, journal_payload=journal_payload, cached=cached))
         return JobHandle(self, job.job_id)
+
+    def _cached_answer(self, job: Job) -> Optional[PassivityReport]:
+        """The job's cached verdict, or ``None``; a hit's lookup is its trace."""
+        trace = JobTrace()
+        with use_trace(trace):
+            cached = cached_verdict(
+                self._runner.cache, job.key, auto=job.method == "auto"
+            )
+        if cached is not None:
+            job.trace = trace.to_jsonable()
+        return cached
 
     async def _submit(
         self,
@@ -1733,12 +1743,7 @@ class PassivityService:
                 self._family_latest[family_key(job.system)] = job.system
         if self._inflight.get(job.key) == job.job_id:
             del self._inflight[job.key]
-        self._count_terminal(state)
-        job.done_event.set()
-        self._remember(job)
-        self._journal_finished(job.job_id, state)
-        if self._store is not None and state is JobState.DONE:
-            self._persist_job(job)
+        self._release(job, state)
         for follower_id in job.followers:
             follower = self._jobs.get(follower_id)
             if follower is None or follower.state.is_terminal:
@@ -1747,15 +1752,25 @@ class PassivityService:
             follower.finished_at = job.finished_at
             follower.report = report
             follower.error = error
-            self._count_terminal(state)
-            follower.done_event.set()
-            self._remember(follower)
-            self._journal_finished(follower_id, state)
-            if self._store is not None and state is JobState.DONE:
-                self._persist_job(follower)
+            self._release(follower, state)
         job.followers = []
         if job.scenario_id is not None:
             self._scenario_on_finish(job, state, report, error)
+
+    def _release(self, job: Job, state: JobState) -> None:
+        """Make one resolved job durable, then release its waiters.
+
+        Durable before visible: a crash after a client saw the result never
+        replays the job.  The record goes to the store before the journal's
+        ``finished`` line, so a crash between the two leaves a job that
+        replay closes from its record rather than one it has lost.
+        """
+        self._count_terminal(state)
+        self._remember(job)
+        if self._store is not None and state is JobState.DONE:
+            self._persist_job(job)
+        self._journal_finished(job.job_id, state)
+        job.done_event.set()
 
     def _count_terminal(self, state: JobState) -> None:
         """Bump the lifetime counter matching a terminal state."""
@@ -1844,9 +1859,9 @@ class PassivityService:
             When the job raised or timed out on the service side.
         """
         job = self._get(job_id)
-        if timeout is None or timeout > 0:
-            job.done_event.wait(timeout)
-        if not job.state.is_terminal:
+        # The event, not the state: a job turns terminal before its journal
+        # line and record are written, and is released only after them.
+        if not job.done_event.wait(None if timeout is None else max(timeout, 0.0)):
             raise JobNotReadyError(
                 f"job {job_id} is {job.state.value}; poll again later"
             )

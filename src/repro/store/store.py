@@ -1,28 +1,30 @@
-"""Content-addressed, file-backed persistent decomposition store (L2 tier).
+"""Content-addressed, file-backed persistent verdict store (L2 tier).
 
-:class:`DecompositionStore` keeps decomposition intermediates on disk, keyed
-exactly like the in-memory :class:`~repro.engine.DecompositionCache`: by the
-system's SHA-256 *fingerprint* (matrices + tolerance bundle) and the cache
-*kind*.  Attached to a cache as its ``store=``, it turns the cache into a
-two-level hierarchy — L1 misses fall through to the store, store hits
-rehydrate the entry without recomputing anything, and computed entries are
-written back — which is what makes a decomposition compute-once across
-*processes* and service restarts, not just within one.
+:class:`DecompositionStore` keeps finished passivity verdicts on disk, keyed
+exactly like the in-memory :class:`~repro.engine.DecompositionCache` keys
+them: by the SHA-256 *verdict key* of one ``check_passivity`` call (system
+fingerprint, method, runner and exact options, see
+:func:`~repro.engine.api.verdict_key`).  Attached to a cache as its
+``store=``, it makes a verdict compute-once across *processes* and service
+restarts, not just within one: an L1 verdict miss falls through to the
+store, and every computed verdict is written back.  Decomposition
+intermediates live in L1 only — a verdict answers every repeat they could.
 
 Design (stdlib + NumPy only):
 
-* **Directory-sharded blobs.**  An entry lives at
-  ``objects/<fp[:2]>/<fp>.<kind>.npz`` — the two-character shard keeps any
-  single directory small under millions of entries.
+* **Directory-sharded blobs.**  A verdict lives at
+  ``objects/<key[:2]>/<key>.verdict.npz`` — the two-character shard keeps
+  any single directory small under millions of entries.
 * **Atomic writes.**  Blobs are staged next to their final path and
   published with :func:`os.replace`, so readers (including other processes)
   only ever see complete files; concurrent writers racing on one key are
   harmless (last writer wins, both wrote identical content).
-* **Mmap-friendly payloads.**  Blobs are *uncompressed* ``.npz`` archives
-  (:func:`numpy.savez`): members are raw ``.npy`` images that load without
-  decompression, and the JSON meta rides along as one ``uint8`` member.  No
-  pickling anywhere — a store is safe to share between mutually untrusting
-  runs (``allow_pickle=False`` on load).
+* **Pickle-free payloads.**  A blob is an uncompressed ``.npz`` archive
+  (:func:`numpy.savez`) with one ``uint8`` member, ``__meta__``: the JSON
+  document ``{"tag": "value", "report": ...}`` whose report is
+  :func:`~repro.passivity.result.report_to_jsonable`'s form.  No pickling
+  anywhere — a store is safe to share between mutually untrusting runs
+  (``allow_pickle=False`` on load).
 * **LRU eviction by size budget.**  ``index.json`` tracks per-blob sizes and
   last-use times; when the total exceeds ``size_budget`` bytes the least
   recently used blobs are deleted.  The index is advisory — loads always go
@@ -32,7 +34,8 @@ Design (stdlib + NumPy only):
   file before publishing (adopting entries concurrent writer processes
   added, with per-process tombstones keeping locally-evicted keys dead),
   so two processes sharing a root no longer drop each other's LRU
-  bookkeeping.
+  bookkeeping.  Blobs of other kinds left by older stores are indexed and
+  evicted like verdicts, never read.
 * **Corruption tolerance.**  A truncated, unreadable or undecodable blob is
   treated as a miss: it is quarantined (deleted) and the caller recomputes.
   A damaged store degrades to recomputation, never to failed requests.
@@ -57,12 +60,16 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import StoreError
-from repro.store.codec import PERSISTED_KINDS, decode_entry, encode_entry
+from repro.passivity.result import (
+    PassivityReport,
+    report_from_jsonable,
+    report_to_jsonable,
+)
 
 __all__ = ["DecompositionStore"]
 
-#: Filename-safety patterns for the two key components and job ids.
-_FINGERPRINT_RE = re.compile(r"[0-9a-f]{6,128}")
+#: Filename-safety patterns for keys, blob kinds and job ids.
+_KEY_RE = re.compile(r"[0-9a-f]{6,128}")
 _KIND_RE = re.compile(r"[a-z0-9_]+")
 _JOB_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -91,6 +98,9 @@ _INDEX_ALWAYS_FLUSH_BELOW = 256
 
 _META_MEMBER = "__meta__"
 
+#: The one kind the store writes and reads (the blob-name suffix).
+_VERDICT = "verdict"
+
 
 def _meta_array(meta: Dict[str, Any]) -> np.ndarray:
     """The JSON meta dict as a ``uint8`` array (npz member form)."""
@@ -106,7 +116,7 @@ def _meta_from_array(raw: np.ndarray) -> Dict[str, Any]:
 
 
 class DecompositionStore:
-    """File-backed L2 store of decomposition intermediates (see module docs).
+    """File-backed L2 store of finished verdicts (see module docs).
 
     Parameters
     ----------
@@ -171,23 +181,17 @@ class DecompositionStore:
     # Key handling
     # ------------------------------------------------------------------
     @staticmethod
-    def accepts(kind: str) -> bool:
-        """True when entries of ``kind`` have a persistence codec."""
-        return kind in PERSISTED_KINDS
+    def _validated(key: str) -> str:
+        if not _KEY_RE.fullmatch(key or ""):
+            raise StoreError(f"malformed verdict key {key!r}")
+        return key
 
-    def _validated(self, fingerprint: str, kind: str) -> Tuple[str, str]:
-        if not _FINGERPRINT_RE.fullmatch(fingerprint or ""):
-            raise StoreError(f"malformed fingerprint {fingerprint!r}")
-        if not _KIND_RE.fullmatch(kind or ""):
-            raise StoreError(f"malformed cache kind {kind!r}")
-        return fingerprint, kind
-
-    def _blob_path(self, fingerprint: str, kind: str) -> Path:
-        return self._objects / fingerprint[:2] / f"{fingerprint}.{kind}.npz"
+    def _blob_path(self, key: str, kind: str = _VERDICT) -> Path:
+        return self._objects / key[:2] / f"{key}.{kind}.npz"
 
     @staticmethod
-    def _index_key(fingerprint: str, kind: str) -> str:
-        return f"{fingerprint}:{kind}"
+    def _index_key(key: str, kind: str = _VERDICT) -> str:
+        return f"{key}:{kind}"
 
     # ------------------------------------------------------------------
     # Index (advisory: sizes + recency for eviction)
@@ -240,9 +244,9 @@ class DecompositionStore:
         if not name.endswith(".npz"):
             return None
         stem = name[: -len(".npz")]
-        fingerprint, _, kind = stem.partition(".")
-        if _FINGERPRINT_RE.fullmatch(fingerprint) and _KIND_RE.fullmatch(kind):
-            return fingerprint, kind
+        key, _, kind = stem.partition(".")
+        if _KEY_RE.fullmatch(key) and _KIND_RE.fullmatch(kind):
+            return key, kind
         return None
 
     def _maybe_flush_index(self, force: bool = False) -> None:
@@ -302,24 +306,21 @@ class DecompositionStore:
     # ------------------------------------------------------------------
     # Blob I/O
     # ------------------------------------------------------------------
-    def put(self, fingerprint: str, kind: str, entry: Tuple[str, Any]) -> int:
-        """Persist one cache entry; returns the number of blobs evicted.
+    def put(self, key: str, report: PassivityReport) -> int:
+        """Persist the verdict ``report`` under ``key``; returns blobs evicted.
 
-        The entry is the cache's internal ``(tag, payload)`` pair — both
-        positive values and allow-listed negative (error) entries persist.
         Publication is atomic; racing writers on the same key are safe.
 
         Raises
         ------
         StoreError
-            When ``kind`` has no codec (check :meth:`accepts` first) or the
-            key components are malformed.
+            When ``key`` is malformed or the write fails.
         SerializationError
-            When a negative entry's exception type is not persistable.
+            When ``report`` is not a :class:`~repro.passivity.PassivityReport`.
         """
-        fingerprint, kind = self._validated(fingerprint, kind)
-        meta, arrays = encode_entry(kind, entry)
-        path = self._blob_path(fingerprint, kind)
+        key = self._validated(key)
+        meta = {"tag": "value", "report": report_to_jsonable(report)}
+        path = self._blob_path(key)
         # Encode and write outside the lock: os.replace publication is
         # already atomic, so only the index/counters need serializing and
         # concurrent puts of distinct keys overlap their disk I/O.
@@ -329,7 +330,7 @@ class DecompositionStore:
         )
         try:
             with open(tmp, "wb") as handle:
-                np.savez(handle, __meta__=_meta_array(meta), **arrays)
+                np.savez(handle, __meta__=_meta_array(meta))
             os.replace(tmp, path)
             size = path.stat().st_size
         except OSError as error:
@@ -342,7 +343,7 @@ class DecompositionStore:
             ) from error
         with self._lock:
             self.n_puts += 1
-            index_key = self._index_key(fingerprint, kind)
+            index_key = self._index_key(key)
             self._dropped.discard(index_key)  # re-created: clear tombstone
             self._index[index_key] = {
                 "size": int(size),
@@ -352,8 +353,8 @@ class DecompositionStore:
             self._maybe_flush_index(force=bool(evicted))
         return evicted
 
-    def load(self, fingerprint: str, kind: str) -> Optional[Tuple[str, Any]]:
-        """Fetch one cache entry, or ``None`` on a miss.
+    def load(self, key: str) -> Optional[PassivityReport]:
+        """Fetch the verdict stored under ``key``, or ``None`` on a miss.
 
         Goes to disk regardless of the index, so blobs written by other
         processes are found immediately.  A truncated or undecodable blob is
@@ -361,21 +362,18 @@ class DecompositionStore:
         transient I/O error (``OSError``) is a miss too, but the blob — which
         may be perfectly healthy — is left in place.
         """
-        fingerprint, kind = self._validated(fingerprint, kind)
-        path = self._blob_path(fingerprint, kind)
-        index_key = self._index_key(fingerprint, kind)
+        key = self._validated(key)
+        path = self._blob_path(key)
+        index_key = self._index_key(key)
         # The read and decode run outside the lock: blob publication is
         # atomic, concurrent loads of distinct keys overlap their I/O, and
         # a racing eviction simply turns this read into a miss.
         try:
             with np.load(path, allow_pickle=False) as archive:
                 meta = _meta_from_array(archive[_META_MEMBER])
-                arrays = {
-                    name: archive[name]
-                    for name in archive.files
-                    if name != _META_MEMBER
-                }
-            entry = decode_entry(kind, meta, arrays)
+            if meta.get("tag") != "value":
+                raise ValueError(f"unknown verdict entry tag {meta.get('tag')!r}")
+            report = report_from_jsonable(meta["report"])
         except OSError:  # includes FileNotFoundError: miss, never quarantine
             with self._lock:
                 self.n_load_misses += 1
@@ -398,12 +396,11 @@ class DecompositionStore:
                 record = {"size": size, "last_used": 0.0}
                 self._index[index_key] = record
             record["last_used"] = time.time()
-        return entry
+        return report
 
-    def contains(self, fingerprint: str, kind: str) -> bool:
-        """True when a blob for ``(fingerprint, kind)`` exists on disk."""
-        fingerprint, kind = self._validated(fingerprint, kind)
-        return self._blob_path(fingerprint, kind).exists()
+    def contains(self, key: str) -> bool:
+        """True when a verdict blob for ``key`` exists on disk."""
+        return self._blob_path(self._validated(key)).exists()
 
     def _quarantine(self, path: Path, index_key: str) -> None:
         # Caller holds the lock.
@@ -428,9 +425,9 @@ class DecompositionStore:
             victim = min(
                 self._index, key=lambda key: self._index[key]["last_used"]
             )
-            fingerprint, _, kind = victim.partition(":")
+            key, _, kind = victim.partition(":")
             try:
-                self._blob_path(fingerprint, kind).unlink()
+                self._blob_path(key, kind).unlink()
             except OSError:
                 pass
             del self._index[victim]

@@ -2,7 +2,8 @@
 
 Covers the structured delta fingerprint, the nearest-ancestor lookup, the
 certified update engine (:func:`attempt_incremental` hit, fallback and
-provenance accounting), the persisted update lineage, and the headline
+provenance accounting), the update provenance that persists with the
+cached verdict, and the headline
 QZ regression the ISSUE pins: an N-corner sweep costs one cold QZ
 factorization plus at most one per counted fallback.
 """
@@ -22,10 +23,10 @@ from repro.engine import (
     DecompositionCache,
     DeltaFingerprint,
     IncrementalConfig,
-    UpdateLineage,
     attempt_incremental,
     check_passivity,
     delta_distance,
+    fingerprint_system,
     structured_delta,
 )
 from repro.engine.cache import (
@@ -183,16 +184,18 @@ class TestAttemptIncremental:
         assert provenance["mechanism"].startswith("spectral")
         assert provenance["distance"] > 0.0
 
-    def test_hit_seeds_certified_intermediates_and_lineage(self, nominal, corner):
+    def test_hit_seeds_certified_intermediates_and_provenance(self, nominal, corner):
         cache = self._warm_cache(nominal)
-        assert attempt_incremental(corner, nominal, cache) is not None
+        report = attempt_incremental(corner, nominal, cache)
+        assert report is not None
         for kind in (GARE_STATE_SPACE, GARE_RICCATI, SYSTEM_PROFILE):
             assert cache.contains(corner, kind)
-        lineage = cache.update_lineage(corner)
-        assert isinstance(lineage, UpdateLineage)
-        assert lineage.certified
-        assert lineage.delta_norms["A"] > 0.0
-        assert lineage.ancestor_fingerprint != lineage.child_fingerprint
+        provenance = report.diagnostics["incremental"]
+        assert provenance["ancestor_fingerprint"] == fingerprint_system(nominal)
+        assert provenance["ancestor_fingerprint"] != fingerprint_system(corner)
+        assert set(provenance["delta_norms"]) == set("EABCD")
+        assert provenance["delta_norms"]["A"] > 0.0
+        assert provenance["delta_norms"]["E"] == 0.0
 
     def test_distance_gate_counts_a_fallback(self, nominal, corner):
         cache = self._warm_cache(nominal)
@@ -256,33 +259,40 @@ class TestCheckPassivityAncestor:
         assert cache.stats.incremental_fallbacks == 1
 
 
-class TestLineagePersistence:
-    def test_lineage_survives_a_store_restart(self, tmp_path, nominal, corner):
+class TestProvenancePersistence:
+    def test_provenance_survives_a_store_restart(self, tmp_path, nominal, corner):
         store_path = tmp_path / "store"
         cache = DecompositionCache(store=DecompositionStore(store_path))
         check_passivity(nominal, method="gare", cache=cache)
         warm = check_passivity(corner, method="gare", cache=cache, ancestor=nominal)
         assert warm.diagnostics["engine"]["incremental"] is True
-        original = cache.update_lineage(corner)
-        assert original is not None
+        original = warm.diagnostics["incremental"]
 
-        # A fresh cache on the same store rehydrates the lineage through the
-        # update_lineage codec (meta-only entry).
+        # A fresh cache on the same store re-checks the corner: the verdict
+        # comes back from the store with the update's provenance.
         reopened = DecompositionCache(store=DecompositionStore(store_path))
-        lineage = reopened.update_lineage(corner)
-        assert isinstance(lineage, UpdateLineage)
-        assert lineage.mechanism == original.mechanism
-        assert lineage.distance == pytest.approx(original.distance)
-        assert lineage.delta_norms == pytest.approx(original.delta_norms)
-        assert lineage.newton_steps == original.newton_steps
-        assert lineage.certified is True
+        again = check_passivity(
+            corner, method="gare", cache=reopened, ancestor=nominal
+        )
+        assert again.diagnostics["engine"]["verdict_cached"] is True
+        assert reopened.stats.l2_hits == 1
+        assert reopened.stats.factorizations == 0
+        provenance = again.diagnostics["incremental"]
+        assert provenance["mechanism"] == original["mechanism"]
+        assert provenance["distance"] == pytest.approx(original["distance"])
+        assert provenance["delta_norms"] == pytest.approx(original["delta_norms"])
+        assert provenance["newton_steps"] == original["newton_steps"]
 
-    def test_plain_seed_stays_in_l1(self, tmp_path, nominal):
+    def test_intermediates_stay_in_l1(self, tmp_path, nominal, corner):
         store_path = tmp_path / "store"
         cache = DecompositionCache(store=DecompositionStore(store_path))
-        context = DecompositionCache().spectral(nominal)
-        cache.seed(nominal, PENCIL_SPECTRUM, context)  # persist defaults False
+        check_passivity(nominal, method="gare", cache=cache)
+        check_passivity(corner, method="gare", cache=cache, ancestor=nominal)
+        blobs = sorted(path.name for path in store_path.glob("objects/*/*.npz"))
+        assert len(blobs) == 2
+        assert all(name.endswith(".verdict.npz") for name in blobs)
         reopened = DecompositionCache(store=DecompositionStore(store_path))
+        assert not reopened.contains(corner, GARE_RICCATI)
         assert not reopened.contains(nominal, PENCIL_SPECTRUM)
 
 

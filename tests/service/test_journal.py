@@ -9,11 +9,14 @@ records.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.circuits import rlc_ladder
-from repro.exceptions import JournalError, ServiceError
+from repro.engine import BatchRunner, MethodRegistry, MethodSpec
+from repro.exceptions import JobNotReadyError, JournalError, ServiceError
+from repro.passivity.result import PassivityReport
 from repro.service import JobState, PassivityService, system_to_jsonable
 from repro.service.journal import JobJournal
 
@@ -218,3 +221,71 @@ class TestServiceJournal:
             assert service.stats().replayed == 0
             assert service.status(done_id).state is JobState.DONE
             assert len(service._journal) == 0
+
+
+def _slow_runner(system, tol, cache, **options):
+    time.sleep(0.3)
+    return PassivityReport(is_passive=True, method="slow")
+
+
+def _journaled_finished(service) -> set:
+    lines = service._journal.path.read_bytes().splitlines()
+    return {
+        record["job_id"]
+        for record in map(json.loads, lines)
+        if record.get("event") == "finished"
+    }
+
+
+class TestDurableBeforeVisible:
+    """A released result is already journaled finished and persisted."""
+
+    @pytest.fixture()
+    def service(self, tmp_path, monkeypatch):
+        registry = MethodRegistry()
+        registry.register(
+            MethodSpec(
+                name="slow", runner=_slow_runner, description="sleeps 0.3 s",
+                uses_spectral_cache=False,
+            )
+        )
+        # Widen the window between a job turning terminal and its journal
+        # line: a result released before the line would be seen here.
+        record_finished = JobJournal.record_finished
+
+        def delayed(journal, job_id, state):
+            time.sleep(0.2)
+            return record_finished(journal, job_id, state)
+
+        monkeypatch.setattr(JobJournal, "record_finished", delayed)
+        runner = BatchRunner(registry=registry, backend="thread")
+        with PassivityService(
+            runner, max_workers=1, store=tmp_path / "store", journal=True
+        ) as service:
+            yield service
+
+    def test_result_waits_for_the_journal_and_the_record(self, service):
+        system = rlc_ladder(3).system
+        primary = service.submit(system, "slow")
+        follower = service.submit(system, "slow")
+        assert follower.status().deduplicated
+        for handle in (follower, primary):
+            assert handle.result(timeout=60.0).is_passive
+            assert handle.job_id in _journaled_finished(service)
+            records = service.store.load_job_records()
+            assert handle.job_id in {r["job_id"] for r in records}
+
+    def test_a_poll_sees_the_result_only_once_it_is_durable(self, service):
+        handle = service.submit(rlc_ladder(3).system, "slow")
+        deadline = time.monotonic() + 60.0
+        while True:
+            try:
+                report = service.result(handle.job_id, timeout=0.0)
+                break
+            except JobNotReadyError:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        assert report.is_passive
+        assert handle.job_id in _journaled_finished(service)
+        records = service.store.load_job_records()
+        assert handle.job_id in {r["job_id"] for r in records}

@@ -4,23 +4,36 @@ Deduplication covers finished jobs as well as in-flight ones: a submission
 whose verdict key (fingerprint, method, runner, exact options) matches a
 job that already finished is ``DONE`` when ``submit`` returns — never
 queued, dispatched or journaled — on both executors and across a restart.
+A journaled job replayed after a crash is answered the same way when its
+verdict reached the store before the crash.
 Options are keyed by an exact form, so two jobs whose array options differ
 past ``repr``'s elision neither coalesce nor share a verdict.
 """
 
 from __future__ import annotations
 
+import json
+import threading
 import time
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.circuits import impulsive_rlc_ladder, rlc_ladder
-from repro.engine import BatchRunner, MethodRegistry, MethodSpec
+from repro.engine import (
+    BatchRunner,
+    DecompositionCache,
+    MethodRegistry,
+    MethodSpec,
+    check_passivity,
+)
 from repro.engine.registry import DEFAULT_REGISTRY
 from repro.passivity.result import PassivityReport
-from repro.service import JobState, PassivityService
+from repro.service import JobState, PassivityService, serve, system_to_jsonable
+from repro.service.journal import JobJournal
+from repro.store import DecompositionStore
 
 EXECUTORS = ["thread", "process"]
 
@@ -96,9 +109,8 @@ class TestAnsweredAtSubmit:
             cold = first.result(timeout=60.0)
             assert cold.diagnostics["engine"]["verdict_cached"] is False
             spy = _PoolSpy(service, monkeypatch)
-            # A loop-thread round trip: the first job's journal "finished"
-            # line is written after its result is released.
-            service.status(first.job_id)
+            # The first job's "finished" line was written before its result
+            # was released, so the count is final here.
             lines = _journal_lines(store_root)
             repeat = service.submit(system)
             status = repeat.status()
@@ -216,3 +228,57 @@ class TestOptionsWithoutAnExactForm:
             for handle in handles:
                 assert handle.result(timeout=60.0).is_passive
             assert spy.calls == 2
+
+
+class TestReplayAnswersFromTheStore:
+    def test_a_replayed_job_whose_verdict_is_stored_is_not_run(self, tmp_path):
+        # The crash left one journaled job pending, after its worker had
+        # already written the verdict to the store.
+        store_root = tmp_path / "store"
+        system = rlc_ladder(4).system
+        stored = check_passivity(
+            system, cache=DecompositionCache(store=DecompositionStore(store_root))
+        )
+        job_id = "job-replayed"
+        with JobJournal(store_root / "journal.jsonl") as journal:
+            journal.record_submitted(
+                job_id,
+                {
+                    "system": system_to_jsonable(system),
+                    "method": "auto",
+                    "options": {},
+                    "priority": 0,
+                    "timeout": None,
+                    "submitted_at": 1000.0,
+                },
+            )
+        with _service("thread", store=store_root, journal=True) as service:
+            status = service.status(job_id)
+            assert status.state is JobState.DONE
+            assert status.started_at is None
+            assert service.stats().replayed == 1
+            names = _span_names(service.trace(job_id))
+            assert "engine.dispatch" not in names
+            assert names == ["cache.verdict"]
+            lines = (store_root / "journal.jsonl").read_bytes().splitlines()
+            finished = [
+                record
+                for record in map(json.loads, lines)
+                if record.get("event") == "finished"
+            ]
+            assert [(r["job_id"], r["state"]) for r in finished] == [
+                (job_id, "done")
+            ]
+            server = serve(service, host="127.0.0.1", port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                host, port = server.server_address[:2]
+                url = f"http://{host}:{port}/jobs/{job_id}/result"
+                with urllib.request.urlopen(url, timeout=30.0) as response:
+                    assert response.status == 200
+                    document = json.loads(response.read())
+            finally:
+                server.shutdown()
+                server.server_close()
+        assert document["is_passive"] == stored.is_passive

@@ -1,10 +1,9 @@
-"""Cross-process sharing: the ISSUE's acceptance regression.
+"""Cross-process sharing of verdicts through the store.
 
 A system checked once by *any* process must be re-checked by a *fresh*
 process — a genuinely separate interpreter, spawned here with
 :mod:`subprocess` — with **zero** ordered QZ factorizations: the fresh
-process's cache rehydrates every decomposition from the shared on-disk
-store.  Also covers the :class:`~repro.engine.BatchRunner` process backend
+process's cache reads the finished verdict from the shared on-disk store.  Also covers the :class:`~repro.engine.BatchRunner` process backend
 shipping the store to its workers.
 """
 
@@ -21,7 +20,7 @@ import pytest
 import repro
 from repro.circuits import rlc_grid
 from repro.engine import DecompositionCache
-from repro.engine.cache import GARE_RICCATI
+from repro.engine.api import verdict_key
 from repro.store import DecompositionStore
 
 #: Run one auto check against a store-backed cache and report QZ counts.
@@ -116,9 +115,10 @@ class TestProcessBackendShipsTheStore:
         if outcome.backend != "process":
             pytest.skip("process pool unavailable in this environment")
         assert outcome.results[0].is_passive
-        # The worker (a different process) wrote through to the store...
+        # The worker (a different process) wrote the verdict through to
+        # the store...
         assert store.contains(
-            repro.engine.fingerprint_system(system, runner.tol), GARE_RICCATI
+            verdict_key(system, "auto", runner.tol, runner.registry)
         )
         # ...so a fresh serial runner sharing the store recomputes nothing.
         warm = BatchRunner(

@@ -12,16 +12,15 @@ import json
 
 import pytest
 
-from repro.engine import DecompositionCache
-from repro.engine.cache import GARE_RICCATI
+from repro.engine import check_passivity
 from repro.store import DecompositionStore
 
 FP_A = "ab" + "0123456789abcdef" * 4
 FP_B = "cd" + "0123456789abcdef" * 4
 
 
-def _entry(system):
-    return ("value", DecompositionCache().gare_certificate(system))
+def _report(system):
+    return check_passivity(system, method="gare")
 
 
 def _index_keys(root):
@@ -36,27 +35,27 @@ class TestIndexMerge:
         root = tmp_path / "store"
         writer_a = DecompositionStore(root)
         writer_b = DecompositionStore(root)  # opened before A wrote anything
-        writer_a.put(FP_A, GARE_RICCATI, _entry(small_rlc_ladder))
+        writer_a.put(FP_A, _report(small_rlc_ladder))
         writer_a.flush()
         # B never saw A's entry in memory; a blind overwrite would drop it.
-        writer_b.put(FP_B, GARE_RICCATI, _entry(small_rlc_ladder))
+        writer_b.put(FP_B, _report(small_rlc_ladder))
         writer_b.flush()
         keys = _index_keys(root)
         assert any(FP_A in key for key in keys)
         assert any(FP_B in key for key in keys)
         # A fresh instance loads the merged view and serves both blobs.
         reader = DecompositionStore(root)
-        assert reader.contains(FP_A, GARE_RICCATI)
-        assert reader.contains(FP_B, GARE_RICCATI)
-        assert reader.load(FP_A, GARE_RICCATI) is not None
-        assert reader.load(FP_B, GARE_RICCATI) is not None
+        assert reader.contains(FP_A)
+        assert reader.contains(FP_B)
+        assert reader.load(FP_A) is not None
+        assert reader.load(FP_B) is not None
 
     def test_merge_does_not_resurrect_evicted_entries(
         self, tmp_path, small_rlc_ladder
     ):
         root = tmp_path / "store"
         seed = DecompositionStore(root)
-        seed.put(FP_A, GARE_RICCATI, _entry(small_rlc_ladder))
+        seed.put(FP_A, _report(small_rlc_ladder))
         seed.flush()  # disk index now lists FP_A
         # A budgeted instance evicts FP_A to make room for FP_B; its flush
         # merges with the disk index, where FP_A still looks live — the
@@ -64,7 +63,7 @@ class TestIndexMerge:
         size = json.loads((root / "index.json").read_text())["entries"]
         one_blob = max(record["size"] for record in size.values())
         evictor = DecompositionStore(root, size_budget=int(one_blob * 1.5))
-        evicted = evictor.put(FP_B, GARE_RICCATI, _entry(small_rlc_ladder))
+        evicted = evictor.put(FP_B, _report(small_rlc_ladder))
         assert evicted >= 1
         evictor.flush()
         keys = _index_keys(root)
@@ -74,7 +73,7 @@ class TestIndexMerge:
     def test_clear_overwrites_instead_of_merging(self, tmp_path, small_rlc_ladder):
         root = tmp_path / "store"
         writer = DecompositionStore(root)
-        writer.put(FP_A, GARE_RICCATI, _entry(small_rlc_ladder))
+        writer.put(FP_A, _report(small_rlc_ladder))
         writer.flush()
         writer.clear()
         assert _index_keys(root) == set()
@@ -85,12 +84,12 @@ class TestIndexMerge:
     ):
         root = tmp_path / "store"
         writer_a = DecompositionStore(root)
-        writer_a.put(FP_A, GARE_RICCATI, _entry(small_rlc_ladder))
+        writer_a.put(FP_A, _report(small_rlc_ladder))
         writer_a.flush()
         writer_b = DecompositionStore(root)
         # B touches the same key later; after both flush, the on-disk
         # recency must be B's (the newer), whichever order they flushed in.
-        writer_b.put(FP_A, GARE_RICCATI, _entry(small_rlc_ladder))
+        writer_b.put(FP_A, _report(small_rlc_ladder))
         writer_b.flush()
         writer_a.flush()
         document = json.loads((root / "index.json").read_text())

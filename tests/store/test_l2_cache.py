@@ -1,11 +1,12 @@
-"""L2 integration: DecompositionCache backed by the persistent store.
+"""L2 integration: DecompositionCache backed by the persistent verdict store.
 
-The headline regression here is the ISSUE's cold-start guarantee, pinned
-with the shared :class:`~repro.bench.QZCounter`: a *fresh* cache attached to
-a warm store answers ``check_passivity(system, "auto")`` with ``l2_hits >
-0`` and **zero** QZ factorizations.  Alongside it: the l2 telemetry
-plumbing through ``CacheStats`` (merge/minus/snapshot), negative-entry
-sharing, corruption fall-through, and the ``seed()`` unknown-kind fix.
+The headline regression here is the cold-start guarantee, pinned with the
+shared :class:`~repro.bench.QZCounter`: a *fresh* cache attached to a warm
+store answers ``check_passivity(system, "auto")`` with ``l2_hits > 0`` and
+**zero** QZ factorizations, from the stored verdict.  Alongside it: the l2
+telemetry plumbing through ``CacheStats`` (merge/minus/snapshot), refusal
+sharing, corruption fall-through, intermediates staying in L1, and the
+``seed()`` unknown-kind fix.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from repro.engine import (
     CacheStats,
     DecompositionCache,
     check_passivity,
-    fingerprint_system,
 )
-from repro.engine.cache import GARE_RICCATI, GARE_STATE_SPACE, PENCIL_SPECTRUM
-from repro.exceptions import NotAdmissibleError, SerializationError
+from repro.engine.api import verdict_key
+from repro.engine.cache import PENCIL_SPECTRUM, VERDICT
+from repro.exceptions import SerializationError
 from repro.linalg.pencil import compute_spectral_context
 from repro.store import DecompositionStore
 
@@ -35,20 +36,26 @@ def store(tmp_path):
 class TestL2Telemetry:
     def test_miss_then_hit_counters(self, store, small_rlc_ladder):
         cold = DecompositionCache(store=store)
-        cold.gare_state_space(small_rlc_ladder)
-        # The reduction consults L2; its spectral dependency is L1-only.
+        check_passivity(small_rlc_ladder, method="gare", cache=cold)
+        # Only the verdict consults L2; every intermediate is L1-only.
         assert cold.stats.l2_misses == 1
         assert cold.stats.l2_hits == 0
-        assert cold.stats.factorizations == 2
-        # A *different* cache sharing the store rehydrates: L1 miss, L2 hit,
-        # zero factorizations.
+        assert cold.stats.factorizations > 0
+        assert cold.stats.by_kind[VERDICT]["l2_misses"] == 1
+        assert all(
+            "l2_misses" not in counters and "l2_hits" not in counters
+            for kind, counters in cold.stats.by_kind.items()
+            if kind != VERDICT
+        )
+        # A *different* cache sharing the store answers from it: one L1
+        # miss, one L2 hit, zero factorizations.
         warm = DecompositionCache(store=store)
-        reduced = warm.gare_state_space(small_rlc_ladder)
-        assert reduced.a.shape[0] > 0
+        report = check_passivity(small_rlc_ladder, method="gare", cache=warm)
+        assert report.is_passive
         assert warm.stats.l2_hits == 1
         assert warm.stats.misses == 1
         assert warm.stats.factorizations == 0
-        assert warm.stats.by_kind[GARE_STATE_SPACE]["l2_hits"] == 1
+        assert warm.stats.by_kind[VERDICT]["l2_hits"] == 1
 
     def test_storeless_cache_reports_zero_l2(self, small_rlc_ladder):
         cache = DecompositionCache()
@@ -77,17 +84,15 @@ class TestL2Telemetry:
         assert delta.by_kind["a"]["l2_hits"] == 1
 
     def test_eviction_telemetry_flows_through_cache(self, tmp_path, small_rlc_ladder):
-        probe = DecompositionStore(tmp_path / "probe")
-        probe.put(
-            fingerprint_system(small_rlc_ladder),
-            GARE_STATE_SPACE,
-            ("value", DecompositionCache().gare_state_space(small_rlc_ladder)),
-        )
-        budget = probe.total_bytes  # fits roughly one reduction blob
+        probe = DecompositionCache(store=DecompositionStore(tmp_path / "probe"))
+        check_passivity(small_rlc_ladder, method="gare", cache=probe)
+        budget = probe.store.total_bytes  # fits roughly one verdict blob
         store = DecompositionStore(tmp_path / "store", size_budget=budget)
         cache = DecompositionCache(store=store)
         for rows in (3, 4, 5):
-            cache.gare_state_space(rlc_grid(rows, 3, sparse=False).system)
+            check_passivity(
+                rlc_grid(rows, 3, sparse=False).system, method="gare", cache=cache
+            )
         assert store.n_evictions > 0
         assert cache.stats.l2_evictions == store.n_evictions
 
@@ -120,51 +125,82 @@ class TestColdStartRegression:
         assert fresh.stats.l2_hits > 0
         assert counter.ordqz == 0  # the full-pencil ordered QZ came from disk
 
-    def test_negative_gare_entry_shared_through_store(self, store, small_impulsive_ladder):
+    def test_gare_refusal_verdict_shared_through_store(
+        self, store, small_impulsive_ladder
+    ):
         cache = DecompositionCache(store=store)
-        with pytest.raises(NotAdmissibleError):
-            cache.gare_state_space(small_impulsive_ladder)
+        refused = check_passivity(small_impulsive_ladder, method="gare", cache=cache)
+        assert not refused.is_passive and refused.failure_reason
         fresh = DecompositionCache(store=store)
-        with pytest.raises(NotAdmissibleError):
-            fresh.gare_state_space(small_impulsive_ladder)
+        again = check_passivity(small_impulsive_ladder, method="gare", cache=fresh)
+        assert again.failure_reason == refused.failure_reason
+        assert again.diagnostics["engine"]["verdict_cached"] is True
         # The refusal came from the store, not a recomputation.
         assert fresh.stats.l2_hits == 1
-        assert fresh.stats.factorizations_for(GARE_STATE_SPACE) == 0
+        assert fresh.stats.factorizations == 0
 
     def test_corrupt_blob_falls_back_to_compute(self, store, small_rlc_ladder):
         cache = DecompositionCache(store=store)
-        cache.gare_certificate(small_rlc_ladder)
-        fingerprint = fingerprint_system(small_rlc_ladder)
-        blob = (
-            store.root
-            / "objects"
-            / fingerprint[:2]
-            / f"{fingerprint}.{GARE_RICCATI}.npz"
-        )
+        check_passivity(small_rlc_ladder, method="gare", cache=cache)
+        key = verdict_key(small_rlc_ladder, "gare")
+        blob = store.root / "objects" / key[:2] / f"{key}.{VERDICT}.npz"
         blob.write_bytes(blob.read_bytes()[:40])
         fresh = DecompositionCache(store=store)
-        # Recomputes the certificate (no raise) on the reduction read from L2.
-        certificate = fresh.gare_certificate(small_rlc_ladder)
-        assert certificate.x is not None
+        # Recomputes the verdict (no raise).
+        report = check_passivity(small_rlc_ladder, method="gare", cache=fresh)
+        assert report.is_passive
+        assert report.diagnostics["engine"]["verdict_cached"] is False
         assert fresh.stats.l2_misses == 1
-        assert fresh.stats.factorizations == 1
+        assert fresh.stats.factorizations > 0
+        assert store.n_corrupt == 1
         # ...and the recomputation repaired the blob for the next reader.
         repaired = DecompositionCache(store=store)
-        repaired.gare_certificate(small_rlc_ladder)
+        check_passivity(small_rlc_ladder, method="gare", cache=repaired)
         assert repaired.stats.l2_hits == 1
 
-    def test_unpersistable_kinds_bypass_the_store(self, store, mixed_passive_system):
+    def test_intermediates_bypass_the_store(
+        self, store, mixed_passive_system, small_rlc_ladder
+    ):
         cache = DecompositionCache(store=store)
         cache.weierstrass(mixed_passive_system)
-        # Neither weierstrass_form nor its spectral dependency has a codec:
-        # both stay in L1, no blob appears on disk and L2 is never asked.
-        fingerprint = fingerprint_system(mixed_passive_system)
-        assert not store.contains(fingerprint, "weierstrass_form")
-        assert not store.contains(fingerprint, PENCIL_SPECTRUM)
+        cache.gare_certificate(small_rlc_ladder)
+        # No intermediate reaches the store: all stay in L1, no blob
+        # appears on disk and L2 is never asked.
         assert len(store) == 0
+        assert not list(store.root.glob("objects/*/*.npz"))
         assert cache.stats.l2_misses == 0
         cache.weierstrass(mixed_passive_system)
         assert cache.stats.hits_for("weierstrass_form") == 1
+        fresh = DecompositionCache(store=store)
+        fresh.gare_certificate(small_rlc_ladder)
+        assert fresh.stats.l2_hits == fresh.stats.l2_misses == 0
+        assert fresh.stats.factorizations > 0
+
+
+    def test_put_verdict_without_persist_stays_in_l1(self, store, small_rlc_ladder):
+        report = check_passivity(small_rlc_ladder, method="gare")
+        key = verdict_key(small_rlc_ladder, "gare")
+        cache = DecompositionCache(store=store)
+        cache.put_verdict(key, report, persist=False)
+        assert not store.contains(key)
+        assert cache.verdict(key).is_passive
+        cache.put_verdict(key, report)
+        assert store.contains(key)
+
+    def test_a_failing_store_degrades_to_computing(self, small_rlc_ladder):
+        class BrokenStore:
+            def load(self, key):
+                raise OSError("disk gone")
+
+            def put(self, key, report):
+                raise OSError("disk gone")
+
+        cache = DecompositionCache(store=BrokenStore())
+        for _ in range(2):  # the repeat is answered from L1
+            report = check_passivity(small_rlc_ladder, method="gare", cache=cache)
+            assert report.is_passive
+        assert cache.stats.l2_misses == 1
+        assert cache.stats.hits_for(VERDICT) == 1
 
 
 class TestSeedValidation:

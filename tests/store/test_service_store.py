@@ -75,11 +75,12 @@ class TestRestartPersistence:
         with PassivityService(
             max_workers=1, max_history=2, store=store_root, dedup=False
         ) as service:
-            handles = [service.submit(rlc_ladder(4).system) for _ in range(5)]
-            for handle in handles:
-                handle.result(timeout=60.0)
-        # Read after close(): result() unblocks at done_event, a moment
-        # before the loop thread persists/prunes; close() drains it.
+            handles = []
+            for _ in range(5):
+                # One at a time: with five in flight, a job can leave the
+                # two-job history before its result() call looks it up.
+                handles.append(service.submit(rlc_ladder(4).system))
+                handles[-1].result(timeout=60.0)
         records = service.store.load_job_records()
         assert len(records) <= 2
         kept = {record["job_id"] for record in records}
