@@ -32,7 +32,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -55,6 +55,7 @@ from repro.passivity.result import PassivityReport
 from repro.passivity.sparse_shh import SPARSE_DEFLATION, fetch_sparse_deflation
 
 __all__ = [
+    "COUNTERS",
     "CacheStats",
     "DecompositionCache",
     "SystemProfile",
@@ -220,7 +221,13 @@ def canonical_options(options: Dict[str, Any]) -> Optional[str]:
         return None
 
 
-@dataclass
+#: The counters a :class:`CacheStats` sums; each is also a read-only attribute.
+COUNTERS = (
+    "hits", "misses", "evictions", "factorizations", "l2_hits", "l2_misses",
+    "l2_evictions", "incremental_hits", "incremental_fallbacks",
+)
+
+
 class CacheStats:
     """Hit/miss/eviction/factorization accounting, in aggregate and per kind.
 
@@ -247,143 +254,106 @@ class CacheStats:
 
     Lookups of the ``verdict`` kind (finished reports) count like any other
     kind; they never count a factorization.
+
+    Every count lives in one mapping, :attr:`counts`, keyed by
+    ``(kind, counter)``; counters no kind owns (``evictions``,
+    ``l2_evictions`` and the incremental pair) sit under kind ``None``.  The
+    aggregates of :data:`COUNTERS` and :attr:`by_kind` are derived from it,
+    so :meth:`merge` adds, :meth:`minus` subtracts and :meth:`snapshot`
+    copies in one loop each.  ``update_residual_max`` is a running maximum,
+    not a sum: merging keeps the larger, a delta keeps the current value.
+    Not thread-safe on its own; read a live cache's counters with
+    :meth:`DecompositionCache.stats_since`, which holds the cache's lock.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    factorizations: int = 0
-    l2_hits: int = 0
-    l2_misses: int = 0
-    l2_evictions: int = 0
-    incremental_hits: int = 0
-    incremental_fallbacks: int = 0
-    update_residual_max: float = 0.0
-    by_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.counts: Dict[Tuple[Optional[str], str], int] = {}
+        self.update_residual_max = 0.0
+
+    def add(self, counter: str, kind: Optional[str] = None, n: int = 1) -> None:
+        """Count ``n`` events of ``counter``, under ``kind`` when one owns it."""
+        key = (kind, counter)
+        self.counts[key] = self.counts.get(key, 0) + n
 
     def record(self, kind: str, hit: bool) -> None:
-        """Count one lookup of ``kind`` (aggregate and per-kind)."""
-        counters = self.by_kind.setdefault(kind, {"hits": 0, "misses": 0})
-        if hit:
-            self.hits += 1
-            counters["hits"] += 1
-        else:
-            self.misses += 1
-            counters["misses"] += 1
+        """Count one lookup of ``kind``."""
+        self.add("hits" if hit else "misses", kind)
 
     def record_factorization(self, kind: str) -> None:
         """Count one actual decomposition computation for ``kind``."""
-        counters = self.by_kind.setdefault(kind, {"hits": 0, "misses": 0})
-        counters["factorizations"] = counters.get("factorizations", 0) + 1
-        self.factorizations += 1
+        self.add("factorizations", kind)
 
     def record_incremental(self, hit: bool, residual: float = 0.0) -> None:
         """Count one incremental-update attempt (hit or certified fallback)."""
+        self.add("incremental_hits" if hit else "incremental_fallbacks")
         if hit:
-            self.incremental_hits += 1
-            if residual > self.update_residual_max:
-                self.update_residual_max = float(residual)
-        else:
-            self.incremental_fallbacks += 1
+            self.update_residual_max = max(self.update_residual_max, float(residual))
 
     def record_l2(self, kind: str, hit: bool) -> None:
         """Count one store (L2) consultation for ``kind``."""
-        counters = self.by_kind.setdefault(kind, {"hits": 0, "misses": 0})
-        key = "l2_hits" if hit else "l2_misses"
-        counters[key] = counters.get(key, 0) + 1
-        if hit:
-            self.l2_hits += 1
-        else:
-            self.l2_misses += 1
+        self.add("l2_hits" if hit else "l2_misses", kind)
+
+    def total(self, counter: str) -> int:
+        """``counter`` summed over every kind (the aggregate attributes)."""
+        return sum(n for (_, name), n in self.counts.items() if name == counter)
 
     def hits_for(self, kind: str) -> int:
         """Number of cache hits recorded for ``kind``."""
-        return self.by_kind.get(kind, {}).get("hits", 0)
+        return self.counts.get((kind, "hits"), 0)
 
     def misses_for(self, kind: str) -> int:
         """Number of cache misses recorded for ``kind``."""
-        return self.by_kind.get(kind, {}).get("misses", 0)
+        return self.counts.get((kind, "misses"), 0)
 
     def factorizations_for(self, kind: str) -> int:
         """Number of actual computations performed for ``kind``."""
-        return self.by_kind.get(kind, {}).get("factorizations", 0)
+        return self.counts.get((kind, "factorizations"), 0)
+
+    @property
+    def by_kind(self) -> Dict[str, Dict[str, int]]:
+        """``{kind: {counter: n}}``: ``hits`` and ``misses`` always, others once counted."""
+        view: Dict[str, Dict[str, int]] = {}
+        for (kind, counter), n in self.counts.items():
+            if kind is not None:
+                view.setdefault(kind, {"hits": 0, "misses": 0})[counter] = n
+        return view
 
     def merge(self, other: "CacheStats") -> None:
         """Fold another counter set into this one (batch-worker aggregation)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.factorizations += other.factorizations
-        self.l2_hits += other.l2_hits
-        self.l2_misses += other.l2_misses
-        self.l2_evictions += other.l2_evictions
-        self.incremental_hits += other.incremental_hits
-        self.incremental_fallbacks += other.incremental_fallbacks
-        if other.update_residual_max > self.update_residual_max:
-            self.update_residual_max = other.update_residual_max
-        for kind, counters in other.by_kind.items():
-            mine = self.by_kind.setdefault(kind, {"hits": 0, "misses": 0})
-            mine["hits"] += counters.get("hits", 0)
-            mine["misses"] += counters.get("misses", 0)
-            for extra in ("factorizations", "l2_hits", "l2_misses"):
-                if counters.get(extra, 0):
-                    mine[extra] = mine.get(extra, 0) + counters[extra]
-
-    def snapshot(self) -> "CacheStats":
-        """Independent copy of the current counters."""
-        copy = CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            factorizations=self.factorizations,
-            l2_hits=self.l2_hits,
-            l2_misses=self.l2_misses,
-            l2_evictions=self.l2_evictions,
-            incremental_hits=self.incremental_hits,
-            incremental_fallbacks=self.incremental_fallbacks,
-            update_residual_max=self.update_residual_max,
-        )
-        copy.by_kind = {kind: dict(counters) for kind, counters in self.by_kind.items()}
-        return copy
+        for (kind, counter), n in other.counts.items():
+            self.add(counter, kind, n)
+        self.update_residual_max = max(self.update_residual_max, other.update_residual_max)
 
     def minus(self, baseline: "CacheStats") -> "CacheStats":
         """Counter deltas since ``baseline`` (per-sweep telemetry)."""
-        delta = CacheStats(
-            hits=self.hits - baseline.hits,
-            misses=self.misses - baseline.misses,
-            evictions=self.evictions - baseline.evictions,
-            factorizations=self.factorizations - baseline.factorizations,
-            l2_hits=self.l2_hits - baseline.l2_hits,
-            l2_misses=self.l2_misses - baseline.l2_misses,
-            l2_evictions=self.l2_evictions - baseline.l2_evictions,
-            incremental_hits=self.incremental_hits - baseline.incremental_hits,
-            incremental_fallbacks=(
-                self.incremental_fallbacks - baseline.incremental_fallbacks
-            ),
-            # The residual watermark is a running max, not a rate: the delta
-            # keeps the current value (0.0 only when nothing was certified).
-            update_residual_max=self.update_residual_max,
-        )
-        for kind, counters in self.by_kind.items():
-            base = baseline.by_kind.get(kind, {})
-            hits = counters.get("hits", 0) - base.get("hits", 0)
-            misses = counters.get("misses", 0) - base.get("misses", 0)
-            extras = {
-                extra: counters.get(extra, 0) - base.get(extra, 0)
-                for extra in ("factorizations", "l2_hits", "l2_misses")
-            }
-            if hits or misses or any(extras.values()):
-                delta.by_kind[kind] = {"hits": hits, "misses": misses}
-                for extra, value in extras.items():
-                    if value:
-                        delta.by_kind[kind][extra] = value
+        delta = CacheStats()
+        delta.update_residual_max = self.update_residual_max
+        for key, n in self.counts.items():
+            if n != baseline.counts.get(key, 0):
+                delta.counts[key] = n - baseline.counts.get(key, 0)
         return delta
+
+    def snapshot(self) -> "CacheStats":
+        """Independent copy of the current counters."""
+        return self.minus(CacheStats())
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups answered from the cache (0.0 when none ran)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+for _counter in COUNTERS:
+    setattr(
+        CacheStats,
+        _counter,
+        property(
+            lambda self, _counter=_counter: self.total(_counter),
+            doc=f"``{_counter}`` summed over every kind.",
+        ),
+    )
+del _counter
 
 
 class DecompositionCache:
@@ -424,6 +394,20 @@ class DecompositionCache:
         self._key_locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._ancestors: "OrderedDict[str, DescriptorSystem]" = OrderedDict()
         self._ancestor_lock = threading.Lock()
+
+    def stats_since(self, baseline: Optional[CacheStats] = None) -> CacheStats:
+        """Counters since ``baseline``; without one, a copy of :attr:`stats`.
+
+        Taken under the cache's lock: cells on other threads record into
+        the same counters while a caller reads them.
+        """
+        with self._lock:
+            return self.stats.minus(baseline or CacheStats())
+
+    def record_incremental(self, hit: bool, residual: float = 0.0) -> None:
+        """Count one incremental-update attempt, under the cache's lock."""
+        with self._lock:
+            self.stats.record_incremental(hit, residual)
 
     def attach_store(self, store: Optional[Any]) -> None:
         """Attach (or detach, with ``None``) the persistent L2 tier.
@@ -676,7 +660,7 @@ class DecompositionCache:
             return
         if evicted:
             with self._lock:
-                self.stats.l2_evictions += evicted
+                self.stats.add("l2_evictions", n=evicted)
 
     def _unwrap(self, key, kind: str, entry: Tuple[str, Any]) -> Any:
         # Caller holds self._lock.
@@ -705,7 +689,7 @@ class DecompositionCache:
             self._key_locks.pop(key, None)
             while self.maxsize is not None and len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
+                self.stats.add("evictions")
 
     # ------------------------------------------------------------------
     # Convenience accessors for the intermediates the engine shares.

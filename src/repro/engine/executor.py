@@ -42,10 +42,18 @@ from repro.engine.api import check_passivity
 from repro.engine.cache import PENCIL_SPECTRUM, CacheStats, DecompositionCache
 from repro.engine.registry import MethodRegistry
 from repro.linalg.pencil import SpectralContext
+from repro.obs.metrics import METRICS, observe_span_tree
 from repro.obs.trace import JobTrace, use_trace
 from repro.passivity.result import PassivityReport
 
-__all__ = ["CellTask", "InlineExecutor", "SupervisedPool", "init_worker", "run_cells"]
+__all__ = [
+    "CellTask",
+    "InlineExecutor",
+    "SupervisedPool",
+    "apply_task_return",
+    "init_worker",
+    "run_cells",
+]
 
 #: One cell's result: ``(report, seconds, error, spans)``.
 CellOutcome = Tuple[Optional[PassivityReport], float, Optional[str], List[Dict[str, Any]]]
@@ -118,7 +126,7 @@ def run_cells(
     if cache is None:
         maxsize, store = task.cache
         cache = DecompositionCache(maxsize=maxsize, store=store)
-    baseline = cache.stats.snapshot()
+    baseline = cache.stats_since()
     for position, context in (task.contexts or {}).items():
         cache.seed(task.fleet[position], PENCIL_SPECTRUM, context, tol=task.tol)
     outcomes: List[CellOutcome] = []
@@ -137,7 +145,31 @@ def run_cells(
             except Exception as exc:  # noqa: BLE001 - one bad cell must not kill the sweep
                 error = f"{type(exc).__name__}: {exc}"
         outcomes.append((report, time.perf_counter() - start, error, trace.to_jsonable()))
-    return outcomes, cache.stats.minus(baseline)
+    return outcomes, cache.stats_since(baseline)
+
+
+def apply_task_return(
+    returned: Tuple[List[CellOutcome], CacheStats], stats: Optional[CacheStats]
+) -> List[Tuple[Optional[PassivityReport], float, Optional[str], JobTrace]]:
+    """Unpack one :func:`run_cells` return in the parent, one cell per entry.
+
+    Pass ``stats`` when the task ran in another process: its counter delta
+    is merged into ``stats`` and each cell's span tree is replayed into
+    :data:`~repro.obs.metrics.METRICS`, exactly once per task, because
+    neither reached this process.  A thread or serial task counted both at
+    the source; pass ``None``.  Each entry is ``(report, seconds, error,
+    trace)``.
+    """
+    outcomes, delta = returned
+    cells = [
+        (report, seconds, error, JobTrace.from_jsonable(spans))
+        for report, seconds, error, spans in outcomes
+    ]
+    if stats is not None:
+        stats.merge(delta)
+        for cell in cells:
+            observe_span_tree(METRICS, cell[3])
+    return cells
 
 
 class _InlineFuture(Future):

@@ -868,7 +868,7 @@ def attempt_incremental(
     tol = tol or DEFAULT_TOLERANCES
 
     def fallback() -> None:
-        cache.stats.record_incremental(False)
+        cache.record_incremental(False)
 
     if isinstance(ancestor, str):
         if ancestor != "auto":
@@ -999,7 +999,7 @@ def attempt_incremental(
     cache.seed(system, GARE_RICCATI, certificate, tol)
     cache.seed(system, SYSTEM_PROFILE, _certified_profile(system, context, tol), tol)
     cache.register_ancestor(ancestor, tol)
-    cache.stats.record_incremental(True, residual)
+    cache.record_incremental(True, residual)
 
     report.diagnostics["incremental"] = {
         "ancestor_fingerprint": delta.ancestor_fingerprint,

@@ -25,9 +25,10 @@ Backends
     One worker process per lane, booted by
     :func:`~repro.engine.executor.init_worker`, so each worker keeps one
     cache for the whole sweep.  Each task returns its counter delta and span
-    trees, merged into the outcome and replayed into
-    :data:`~repro.obs.metrics.METRICS` once per task.  Method runners must
-    be picklable (module-level functions) — the built-in registry qualifies.
+    trees, which :func:`~repro.engine.executor.apply_task_return` merges
+    into the outcome and replays into :data:`~repro.obs.metrics.METRICS`
+    once per task.  Method runners must be picklable (module-level
+    functions) — the built-in registry qualifies.
     When the runner's cache has a persistent store attached, the workers'
     caches are backed by it (they re-open the same root), so they share
     finished verdicts through the L2 tier as well.  Every payload (systems,
@@ -82,14 +83,13 @@ from repro.engine.executor import (
     CellTask,
     InlineExecutor,
     SupervisedPool,
+    apply_task_return,
     init_worker,
     run_cells,
 )
 from repro.engine.incremental import delta_distance, family_key
 from repro.engine.registry import DEFAULT_REGISTRY, MethodRegistry, UnknownMethodError
 from repro.linalg.pencil import SpectralContext
-from repro.obs.metrics import METRICS, observe_span_tree
-from repro.obs.trace import JobTrace
 from repro.passivity.result import PassivityReport
 
 __all__ = ["BatchResult", "BatchOutcome", "BatchRunner"]
@@ -463,7 +463,7 @@ class BatchRunner:
         # outcomes report per-sweep deltas.  The baseline is taken *before*
         # the spectral precompute so the parent-side factorizations show up
         # in the sweep's telemetry.
-        stats_baseline = self.cache.stats.snapshot()
+        stats_baseline = self.cache.stats_since()
         contexts = self._spectral_contexts(systems, methods, method_options)
         chains = self._plan_sweep_chains(systems)
         backend, lanes = self._open_lanes()
@@ -524,10 +524,10 @@ class BatchRunner:
         # which already holds the precomputed spectral contexts, and count
         # their stats and spans at the source.  A process task runs on its
         # worker's cache, seeded with any parent-computed context, and
-        # returns its counter delta and span trees, merged and replayed here
-        # exactly once per task.  The registry is shipped to the workers
-        # (specs pickle by reference, so runners must be module-level
-        # functions); relying on the worker re-importing DEFAULT_REGISTRY
+        # returns its counter delta and span trees, which apply_task_return
+        # merges and replays exactly once per task.  The registry is shipped
+        # to the workers (specs pickle by reference, so runners must be
+        # module-level functions); relying on the worker re-importing DEFAULT_REGISTRY
         # would drop dynamically registered methods under a spawn start
         # method.
         remote = backend == "process"
@@ -552,15 +552,12 @@ class BatchRunner:
                 for mi, method in enumerate(methods):
                     record(si, mi, BatchResult(si, method, **outcome))
 
-        def collect(si: int, outcomes: List[Any], stats: CacheStats) -> None:
+        def collect(si: int, returned: Any) -> None:
             with lock:
-                if remote:
-                    worker_stats.merge(stats)
-                for mi, (method, (report, seconds, error, spans)) in enumerate(
-                    zip(methods, outcomes)
+                cells = apply_task_return(returned, worker_stats if remote else None)
+                for mi, (method, (report, seconds, error, _)) in enumerate(
+                    zip(methods, cells)
                 ):
-                    if remote:
-                        observe_span_tree(METRICS, JobTrace.from_jsonable(spans))
                     record(si, mi, BatchResult(si, method, report, seconds, error))
 
         def make_task(si: int, ancestor: Optional[str]) -> CellTask:
@@ -608,7 +605,7 @@ class BatchRunner:
                 while queued:
                     si, task, future, pool = queued[0]
                     try:
-                        outcomes, stats = future.result(timeout=self.task_timeout)
+                        returned = future.result(timeout=self.task_timeout)
                     except FutureTimeoutError:
                         # The worker is hung: every cell still queued on this
                         # lane times out with it, and the lane stops.
@@ -634,7 +631,7 @@ class BatchRunner:
                         # Both are deterministic — a retry cannot help.
                         fail(si, error=f"{type(error).__name__}: {error}")
                     else:
-                        collect(si, outcomes, stats)
+                        collect(si, returned)
                     queued.popleft()
                 group = next_group()
 
@@ -680,7 +677,7 @@ class BatchRunner:
         # Parent-side counters (the hoisted precompute, and every thread or
         # serial cell) join the merged worker counters, so the sweep
         # telemetry stays complete.
-        cache_stats = self.cache.stats.minus(stats_baseline)
+        cache_stats = self.cache.stats_since(stats_baseline)
         cache_stats.merge(worker_stats)
         ordered = [results[key] for key in sorted(results)]
         return BatchOutcome(

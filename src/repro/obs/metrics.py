@@ -13,16 +13,13 @@ half is :mod:`repro.obs.trace`).  One process-global instance,
 Every finished :func:`~repro.obs.trace.trace_span` lands in the
 ``repro_stage_seconds`` histogram family (one series per stage name), so
 ``GET /metrics`` exposes per-stage latency without any trace being active.
-Worker processes collect into their own registry; their span trees return
-to the parent by value and are replayed into the parent's registry with
-:func:`observe_span_tree` — the same merge-at-the-parent discipline as
-``CacheStats``.
-
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain nested dicts that
-merge associatively (:meth:`MetricsRegistry.merge_snapshot`), mirroring the
-``CacheStats.snapshot()/merge()`` idiom, and
-:meth:`MetricsRegistry.render_prometheus` serializes the registry in the
-Prometheus text exposition format (version 0.0.4).
+Worker processes collect into their own registry, which nothing reads
+back: a process task's span trees return to the parent by value, and
+:func:`~repro.engine.executor.apply_task_return` replays them into the
+parent's registry with :func:`observe_span_tree`, together with the one
+merge of the task's ``CacheStats`` delta.  Registries themselves are never
+merged.  :meth:`MetricsRegistry.render_prometheus` serializes the registry
+in the Prometheus text exposition format (version 0.0.4).
 """
 
 from __future__ import annotations
@@ -121,24 +118,6 @@ class Histogram:
             seen += in_bucket
             lower = bound
         return self.bounds[-1] if self.bounds else 0.0
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Snapshot form: bounds, per-bucket counts, sum, count."""
-        return {
-            "bounds": list(self.bounds),
-            "buckets": list(self.bucket_counts),
-            "sum": self.total,
-            "count": self.count,
-        }
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`to_jsonable` snapshot with identical bounds in."""
-        if tuple(snapshot.get("bounds", ())) != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for position, count in enumerate(snapshot.get("buckets", [])):
-            self.bucket_counts[position] += int(count)
-        self.total += float(snapshot.get("sum", 0.0))
-        self.count += int(snapshot.get("count", 0))
 
 
 class MetricsRegistry:
@@ -275,53 +254,6 @@ class MetricsRegistry:
             return self._gauges.get(name, {}).get(_label_key(labels), 0.0)
 
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Mergeable plain-dict snapshot of every family (CacheStats idiom)."""
-        with self._lock:
-            return {
-                "counters": {
-                    name: {key: value for key, value in series.items()}
-                    for name, series in self._counters.items()
-                },
-                "gauges": {
-                    name: {key: value for key, value in series.items()}
-                    for name, series in self._gauges.items()
-                },
-                "histograms": {
-                    name: {
-                        key: histogram.to_jsonable()
-                        for key, histogram in series.items()
-                    }
-                    for name, series in self._histograms.items()
-                },
-            }
-
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` in: counters/histograms add, gauges overwrite."""
-        with self._lock:
-            for name, series in snapshot.get("counters", {}).items():
-                self._types.setdefault(name, "counter")
-                target = self._counters.setdefault(name, {})
-                for key, value in series.items():
-                    key = tuple(tuple(pair) for pair in key)
-                    target[key] = target.get(key, 0.0) + float(value)
-            for name, series in snapshot.get("gauges", {}).items():
-                self._types.setdefault(name, "gauge")
-                target = self._gauges.setdefault(name, {})
-                for key, value in series.items():
-                    target[tuple(tuple(pair) for pair in key)] = float(value)
-            for name, series in snapshot.get("histograms", {}).items():
-                self._types.setdefault(name, "histogram")
-                target = self._histograms.setdefault(name, {})
-                for key, document in series.items():
-                    key = tuple(tuple(pair) for pair in key)
-                    histogram = target.get(key)
-                    if histogram is None:
-                        histogram = target[key] = Histogram(
-                            tuple(document.get("bounds", DEFAULT_BUCKETS))
-                        )
-                    histogram.merge(document)
-
     def reset(self) -> None:
         """Drop every family (test isolation helper)."""
         with self._lock:
@@ -390,8 +322,9 @@ def observe_span_tree(registry: MetricsRegistry, trace: Any) -> None:
 
     In-process spans feed :data:`METRICS` directly as they close; spans
     recorded inside a *worker process* only exist as a returned tree, so
-    the parent replays them here — once per returned tree, mirroring the
-    exactly-one-``CacheStats``-merge-per-task rule.  Accepts a
+    :func:`~repro.engine.executor.apply_task_return` replays them here —
+    once per returned tree, next to the task's one ``CacheStats`` merge.
+    Accepts a
     :class:`~repro.obs.trace.JobTrace` or ``None`` (no-op).
     """
     if trace is None:

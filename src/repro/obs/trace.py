@@ -19,10 +19,12 @@ no-op context manager so instrumented code pays only a flag check.
 
 Cross-process propagation is by value, not by magic: a worker begins a
 trace, runs the cell, and returns ``trace.to_jsonable()`` alongside its
-``CacheStats`` delta on the pool's pickle return path; the parent
-rebuilds the tree with :meth:`JobTrace.from_jsonable` and merges it into
-the job's parent-side trace (queue wait) with
-:meth:`JobTrace.merge`.
+task's ``CacheStats`` delta on the pool's pickle return path.  In the
+parent, :func:`~repro.engine.executor.apply_task_return` rebuilds each
+tree with :meth:`JobTrace.from_jsonable`, merges the delta and replays
+the trees into :data:`~repro.obs.metrics.METRICS`, once per task; the
+service then grafts a job's tree onto its parent-side trace (queue wait)
+with :meth:`JobTrace.merge`.
 
 Spans slower than the slow-op threshold (``REPRO_SLOW_OP_SECONDS``,
 default 1 s) are reported through the structured logger — see

@@ -81,7 +81,13 @@ from repro.config import Tolerances
 from repro.descriptor.system import DescriptorSystem
 from repro.engine.api import cached_verdict, verdict_key
 from repro.engine.cache import CacheStats, DecompositionCache, fingerprint_system
-from repro.engine.executor import CellTask, SupervisedPool, init_worker, run_cells
+from repro.engine.executor import (
+    CellTask,
+    SupervisedPool,
+    apply_task_return,
+    init_worker,
+    run_cells,
+)
 from repro.engine.incremental import family_key
 from repro.engine.registry import MethodRegistry
 from repro.engine.runner import BatchRunner
@@ -95,7 +101,7 @@ from repro.exceptions import (
     UnknownScenarioError,
 )
 from repro.obs.log import get_logger
-from repro.obs.metrics import METRICS, observe_span_tree
+from repro.obs.metrics import METRICS
 from repro.obs.trace import JobTrace, record_span, trace_span, use_trace
 from repro.passivity.result import PassivityReport, _plain, _revive
 from repro.service.jobs import Job, JobHandle, JobState, JobStatus
@@ -251,6 +257,52 @@ class ServiceStats:
     def to_jsonable(self) -> Dict[str, Any]:
         """Plain-dict form of the snapshot for transport front-ends."""
         return asdict(self)
+
+
+#: Lifetime job tallies; each is a :class:`ServiceStats` field and a
+#: ``repro_jobs_<name>`` gauge.
+_JOB_TALLIES = (
+    "submitted", "completed", "failed", "cancelled", "timed_out",
+    "deduplicated", "rejected", "retried", "replayed",
+)
+#: Every lifetime tally the service keeps, in one mapping of these names.
+_TALLIES = _JOB_TALLIES + ("scenarios", "streamed_events", "dropped_events")
+#: The tally each terminal state bumps.
+_TERMINAL_TALLIES = {
+    JobState.DONE: "completed",
+    JobState.FAILED: "failed",
+    JobState.CANCELLED: "cancelled",
+    JobState.TIMED_OUT: "timed_out",
+}
+#: The :class:`~repro.engine.CacheStats` aggregates ``ServiceStats.cache`` serves.
+_CACHE_FIELDS = (
+    "hits", "misses", "factorizations", "hit_rate", "l2_hits", "l2_misses", "l2_evictions",
+)
+#: ``GET /metrics`` gauges: :class:`ServiceStats` field (``cache.<name>`` for
+#: an entry of its ``cache`` dict) -> (family, help).
+_GAUGES: Dict[str, Tuple[str, str]] = {
+    "queue_depth": ("repro_queue_depth",
+                    "Jobs waiting in the priority queue (held corners included)."),
+    "running": ("repro_jobs_running", "Jobs currently executing on the worker pool."),
+    "queue_wait_max": ("repro_queue_wait_max_seconds",
+                       "Seconds the oldest currently-queued job has been waiting."),
+    "journal_lag": ("repro_journal_lag",
+                    "Dead (compactable) lines in the write-ahead job journal."),
+    "uptime_seconds": ("repro_uptime_seconds", "Seconds since the service started."),
+    **{name: (f"repro_jobs_{name}", f"Lifetime count of {name.replace('_', ' ')} jobs.")
+       for name in _JOB_TALLIES},
+    "scenarios": ("repro_scenarios", "Scenario sweeps accepted since service start."),
+    "streamed_events": ("repro_streamed_events",
+                        "Numbered scenario events pushed to subscribers."),
+    "dropped_events": ("repro_dropped_events",
+                       "Events lost to slow-subscriber backpressure."),
+    "pool_restarts": ("repro_pool_restarts",
+                      "Process-pool teardown/rebuild cycles after worker crashes."),
+    **{f"cache.{name}": (f"repro_cache_{name}",
+                         f"Decomposition cache {name.replace('_', ' ')} since service "
+                         f"start (workers included).")
+       for name in ("hits", "misses", "factorizations", "l2_hits", "l2_misses")},
+}
 
 
 class PassivityService:
@@ -479,22 +531,11 @@ class PassivityService:
         self._last_heartbeat: Optional[float] = None
         self._closed = False
         self._started_at: Optional[float] = None
-        self._cache_baseline = self._runner.cache.stats.snapshot()
+        self._cache_baseline = self._runner.cache.stats_since()
         #: Worker-side cache counter deltas (process mode), merged per job.
         self._worker_stats = CacheStats()
-
-        self._n_submitted = 0
-        self._n_completed = 0
-        self._n_failed = 0
-        self._n_cancelled = 0
-        self._n_timed_out = 0
-        self._n_deduplicated = 0
-        self._n_rejected = 0
-        self._n_retried = 0
-        self._n_replayed = 0
-        self._n_scenarios = 0
-        self._n_streamed_events = 0
-        self._n_dropped_events = 0
+        #: Lifetime tallies, by :class:`ServiceStats` field name.
+        self._tally: Dict[str, int] = dict.fromkeys(_TALLIES, 0)
         #: QUEUED, non-coalesced jobs awaiting a worker.  This — not
         #: ``queue.qsize()`` — is what ``max_queue`` bounds: a cancelled
         #: job's tuple lingers in the asyncio queue as a ghost until a
@@ -765,7 +806,7 @@ class PassivityService:
                 if self._dedup and job.key is not None:
                     cached = self._cached_answer(job)
                 await self._submit(job, replay=True, cached=cached)
-                self._n_replayed += 1
+                self._tally["replayed"] += 1
             except Exception:  # noqa: BLE001 - replay is best-effort
                 continue
         self._replayed_jobs = []
@@ -773,7 +814,7 @@ class PassivityService:
             try:
                 scenario, jobs = self._build_scenario(spec, scenario_id=scenario_id)
                 await self._submit_scenario(scenario, jobs, replay=True)
-                self._n_replayed += 1
+                self._tally["replayed"] += 1
             except Exception:  # noqa: BLE001 - replay is best-effort
                 continue
         self._replayed_scenarios = []
@@ -820,7 +861,7 @@ class PassivityService:
         """
         if job.retries < self._max_retries:
             job.retries += 1
-            self._n_retried += 1
+            self._tally["retried"] += 1
             job.state = JobState.QUEUED
             job.started_at = None
             self._n_queued += 1
@@ -1057,7 +1098,7 @@ class PassivityService:
         if self._dedup and job.key is not None:
             if cached is not None:
                 self._jobs[job.job_id] = job
-                self._n_submitted += 1
+                self._tally["submitted"] += 1
                 self._finish(job, JobState.DONE, report=cached)
                 return
             primary_id = self._inflight.get(job.key)
@@ -1065,10 +1106,10 @@ class PassivityService:
                 primary = self._jobs.get(primary_id)
                 if primary is not None and not primary.state.is_terminal:
                     self._jobs[job.job_id] = job
-                    self._n_submitted += 1
+                    self._tally["submitted"] += 1
                     job.coalesced_into = primary_id
                     primary.followers.append(job.job_id)
-                    self._n_deduplicated += 1
+                    self._tally["deduplicated"] += 1
                     self._journal_submitted(job, journal_payload)
                     return
         if (
@@ -1076,13 +1117,13 @@ class PassivityService:
             and self._max_queue is not None
             and self._n_queued >= self._max_queue
         ):
-            self._n_rejected += 1
+            self._tally["rejected"] += 1
             raise QueueFullError(
                 f"submission queue is full ({self._max_queue} queued job(s)); "
                 f"retry later"
             )
         self._jobs[job.job_id] = job
-        self._n_submitted += 1
+        self._tally["submitted"] += 1
         if self._dedup and job.key is not None:
             self._inflight[job.key] = job.job_id
         self._journal_submitted(job, journal_payload)
@@ -1220,13 +1261,13 @@ class PassivityService:
             and self._max_queue is not None
             and self._n_queued + len(jobs) > self._max_queue
         ):
-            self._n_rejected += 1
+            self._tally["rejected"] += 1
             raise QueueFullError(
                 f"scenario of {len(jobs)} cell(s) does not fit the "
                 f"submission queue ({self._max_queue} slot(s)); retry later"
             )
         self._scenarios[scenario.scenario_id] = scenario
-        self._n_scenarios += 1
+        self._tally["scenarios"] += 1
         if journal_payload is not None and self._journal is not None:
             try:
                 self._journal.record_submitted(
@@ -1236,7 +1277,7 @@ class PassivityService:
                 pass
         for job in jobs:
             self._jobs[job.job_id] = job
-            self._n_submitted += 1
+            self._tally["submitted"] += 1
             if job.held:
                 # Deferred corner: registered (pollable, cancellable) but
                 # not queued until the family root completes.
@@ -1270,7 +1311,7 @@ class PassivityService:
         )
         scenario.last_event_id = event.event_id
         scenario.events.append(event)
-        self._n_streamed_events += 1
+        self._tally["streamed_events"] += 1
         subscribers = list(scenario.subscribers)
         if not subscribers:
             return
@@ -1297,12 +1338,12 @@ class PassivityService:
         if subscription.closed:
             return
         if force:
-            self._n_dropped_events += subscription._force(event)
+            self._tally["dropped_events"] += subscription._force(event)
             return
         if subscription._offer(event):
             return
         dropped = subscription._drop_backlog()
-        self._n_dropped_events += dropped
+        self._tally["dropped_events"] += dropped
         snapshot = ScenarioEvent(
             event_id=None,
             event="snapshot",
@@ -1655,17 +1696,13 @@ class PassivityService:
             )
             return
         try:
-            (outcome,), worker_delta = future.result()
+            ((report, _seconds, error_message, cell_tree),) = apply_task_return(
+                future.result(), self._worker_stats if remote else None
+            )
         except Exception as error:  # noqa: BLE001 - the job must resolve
             self._dispatch_failed(job, pool, error)
             return
         self._last_heartbeat = time.time()
-        report, _seconds, error_message, cell_spans = outcome
-        cell_tree = JobTrace.from_jsonable(cell_spans)
-        if remote:
-            # Worker-side counters and spans never reached this process.
-            self._worker_stats.merge(worker_delta)
-            observe_span_tree(METRICS, cell_tree)
         job.trace = parent_trace.merge(cell_tree).to_jsonable()
         if error_message is not None:
             self._finish(job, JobState.FAILED, error=error_message)
@@ -1765,23 +1802,12 @@ class PassivityService:
         ``finished`` line, so a crash between the two leaves a job that
         replay closes from its record rather than one it has lost.
         """
-        self._count_terminal(state)
+        self._tally[_TERMINAL_TALLIES[state]] += 1
         self._remember(job)
         if self._store is not None and state is JobState.DONE:
             self._persist_job(job)
         self._journal_finished(job.job_id, state)
         job.done_event.set()
-
-    def _count_terminal(self, state: JobState) -> None:
-        """Bump the lifetime counter matching a terminal state."""
-        if state is JobState.DONE:
-            self._n_completed += 1
-        elif state is JobState.FAILED:
-            self._n_failed += 1
-        elif state is JobState.CANCELLED:
-            self._n_cancelled += 1
-        elif state is JobState.TIMED_OUT:
-            self._n_timed_out += 1
 
     def _remember(self, job: Job) -> None:
         """Keep the terminal job pollable, evicting beyond ``max_history``.
@@ -1918,84 +1944,18 @@ class PassivityService:
     def metrics_text(self) -> str:
         """Render the observability plane as Prometheus exposition text.
 
-        Backs ``GET /metrics``.  Refreshes the service-level gauges
-        (queue depth and wait, running jobs, lifetime counters, cache
-        counters, journal lag) from a fresh :meth:`stats` snapshot, then
+        Backs ``GET /metrics``.  Refreshes the service-level gauges, one
+        per :data:`_GAUGES` entry (queue depth and wait, running jobs,
+        lifetime counters, cache counters, journal lag), from a fresh
+        :meth:`stats` snapshot, then
         renders the process-wide :data:`~repro.obs.metrics.METRICS`
         registry — which also carries the per-stage latency histograms
         every :func:`~repro.obs.trace_span` feeds — in text format 0.0.4.
         """
         stats = self.stats()
-        gauge = METRICS.gauge
-        gauge(
-            "repro_queue_depth",
-            stats.queue_depth,
-            help="Jobs waiting in the priority queue (held corners included).",
-        )
-        gauge(
-            "repro_jobs_running",
-            stats.running,
-            help="Jobs currently executing on the worker pool.",
-        )
-        gauge(
-            "repro_queue_wait_max_seconds",
-            stats.queue_wait_max,
-            help="Seconds the oldest currently-queued job has been waiting.",
-        )
-        gauge(
-            "repro_journal_lag",
-            stats.journal_lag,
-            help="Dead (compactable) lines in the write-ahead job journal.",
-        )
-        gauge(
-            "repro_uptime_seconds",
-            stats.uptime_seconds,
-            help="Seconds since the service started.",
-        )
-        lifetime = {
-            "submitted": stats.submitted,
-            "completed": stats.completed,
-            "failed": stats.failed,
-            "cancelled": stats.cancelled,
-            "timed_out": stats.timed_out,
-            "deduplicated": stats.deduplicated,
-            "rejected": stats.rejected,
-            "retried": stats.retried,
-            "replayed": stats.replayed,
-        }
-        for name, value in lifetime.items():
-            gauge(
-                f"repro_jobs_{name}",
-                value,
-                help=f"Lifetime count of {name.replace('_', ' ')} jobs.",
-            )
-        gauge(
-            "repro_scenarios",
-            stats.scenarios,
-            help="Scenario sweeps accepted since service start.",
-        )
-        gauge(
-            "repro_streamed_events",
-            stats.streamed_events,
-            help="Numbered scenario events pushed to subscribers.",
-        )
-        gauge(
-            "repro_dropped_events",
-            stats.dropped_events,
-            help="Events lost to slow-subscriber backpressure.",
-        )
-        gauge(
-            "repro_pool_restarts",
-            stats.pool_restarts,
-            help="Process-pool teardown/rebuild cycles after worker crashes.",
-        )
-        for counter in ("hits", "misses", "factorizations", "l2_hits", "l2_misses"):
-            gauge(
-                f"repro_cache_{counter}",
-                stats.cache.get(counter, 0),
-                help=f"Decomposition cache {counter.replace('_', ' ')} "
-                f"since service start (workers included).",
-            )
+        values = {**vars(stats), **{f"cache.{k}": v for k, v in stats.cache.items()}}
+        for name, (family, help_text) in _GAUGES.items():
+            METRICS.gauge(family, values[name], help=help_text)
         return METRICS.render_prometheus()
 
     def cancel(self, job_id: str) -> bool:
@@ -2121,21 +2081,10 @@ class PassivityService:
                 journal_lag = 0
         # The runner-cache delta plus (process mode) the merged worker-side
         # deltas: one counter set regardless of execution mode.
-        cache_delta = self._runner.cache.stats.minus(self._cache_baseline)
+        cache_delta = self._runner.cache.stats_since(self._cache_baseline)
         cache_delta.merge(self._worker_stats)
-        cache = {
-            "hits": cache_delta.hits,
-            "misses": cache_delta.misses,
-            "factorizations": cache_delta.factorizations,
-            "hit_rate": cache_delta.hit_rate,
-            "l2_hits": cache_delta.l2_hits,
-            "l2_misses": cache_delta.l2_misses,
-            "l2_evictions": cache_delta.l2_evictions,
-            "by_kind": {
-                kind: dict(counters)
-                for kind, counters in cache_delta.by_kind.items()
-            },
-        }
+        cache = {name: getattr(cache_delta, name) for name in _CACHE_FIELDS}
+        cache["by_kind"] = cache_delta.by_kind
         return ServiceStats(
             workers=self._max_workers,
             # Recomputed from the job table at snapshot time, not read from
@@ -2152,26 +2101,15 @@ class PassivityService:
             running=sum(
                 1 for job in self._jobs.values() if job.state is JobState.RUNNING
             ),
-            submitted=self._n_submitted,
-            completed=self._n_completed,
-            failed=self._n_failed,
-            cancelled=self._n_cancelled,
-            timed_out=self._n_timed_out,
-            deduplicated=self._n_deduplicated,
-            rejected=self._n_rejected,
+            **self._tally,
             uptime_seconds=uptime,
-            throughput_per_second=self._n_completed / uptime if uptime > 0 else 0.0,
+            throughput_per_second=self._tally["completed"] / uptime if uptime > 0 else 0.0,
             executor=self._executor_kind,
             queue_capacity=self._max_queue,
             pool_restarts=self._pool_restarts,
-            retried=self._n_retried,
-            replayed=self._n_replayed,
             incremental_hits=cache_delta.incremental_hits,
             incremental_fallbacks=cache_delta.incremental_fallbacks,
             update_residual_max=cache_delta.update_residual_max,
-            scenarios=self._n_scenarios,
-            streamed_events=self._n_streamed_events,
-            dropped_events=self._n_dropped_events,
             queue_wait_max=max(0.0, queue_wait_max),
             journal_lag=journal_lag,
             stages=METRICS.stage_quantiles(),

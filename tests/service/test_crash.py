@@ -290,3 +290,74 @@ class TestKill9Replay:
                 terminal[record["job_id"]] = terminal.get(record["job_id"], 0) + 1
         assert set(terminal) == set(ids)
         assert all(count == 1 for count in terminal.values())
+
+
+class TestKill9AfterResult:
+    """A result a client saw survives a ``kill -9`` and is never re-run."""
+
+    CHILD = textwrap.dedent(
+        """
+        import json, os, signal, sys
+
+        from repro.circuits import rlc_ladder
+        from repro.passivity.result import report_to_jsonable
+        from repro.service import PassivityService
+
+        service = PassivityService(max_workers=1, store=sys.argv[1], journal=True)
+        handle = service.submit(rlc_ladder(4).system, method="gare")
+        report = handle.result(timeout=120.0)
+        print(json.dumps({
+            "job_id": handle.job_id, "report": report_to_jsonable(report),
+        }), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+        """
+    )
+
+    def test_kill9_after_result_restarts_with_the_job_done(self, tmp_path):
+        import json
+        import threading
+        import urllib.request
+
+        from repro.obs import METRICS
+        from repro.passivity.result import report_to_jsonable
+        from repro.service import serve
+
+        store_root = tmp_path / "store"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(store_root)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        delivered = json.loads(child.stdout)
+        job_id = delivered["job_id"]
+
+        def dispatches() -> float:
+            stage = METRICS.stage_quantiles().get("engine.dispatch", {})
+            return stage.get("count", 0.0)
+
+        before = dispatches()
+        service = PassivityService(max_workers=1, store=store_root, journal=True)
+        server = serve(service, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            assert service.status(job_id).state is JobState.DONE
+            url = f"http://{host}:{port}/jobs/{job_id}/result"
+            with urllib.request.urlopen(url, timeout=30.0) as response:
+                assert response.status == 200
+                served = json.loads(response.read())
+            restored = service.result(job_id, timeout=0.0)
+            assert report_to_jsonable(restored) == delivered["report"]
+            assert served == delivered["report"]
+            assert service.stats().replayed == 0
+            assert dispatches() == before
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()

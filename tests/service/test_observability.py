@@ -35,6 +35,21 @@ from repro.service.service import ServiceStats
 from harness import GateRegistry, drain
 
 
+#: The lifetime job counters and cache counters ``/metrics`` serves as gauges.
+JOB_GAUGES = (
+    "submitted",
+    "completed",
+    "failed",
+    "cancelled",
+    "timed_out",
+    "deduplicated",
+    "rejected",
+    "retried",
+    "replayed",
+)
+CACHE_GAUGES = ("hits", "misses", "factorizations", "l2_hits", "l2_misses")
+
+
 def _span_names(spans):
     names = []
     stack = list(spans)
@@ -194,9 +209,14 @@ class TestScenarioTraceEvents:
 
 
 @pytest.fixture()
-def server_url():
-    """A running service + HTTP server on an ephemeral port."""
-    service = PassivityService(max_workers=2)
+def server_url(request):
+    """A running service + HTTP server on an ephemeral port.
+
+    Thread executor unless a test parametrizes it indirectly.
+    """
+    service = PassivityService(
+        max_workers=2, executor=getattr(request, "param", "thread")
+    )
     server = serve(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -246,6 +266,7 @@ class TestHTTPEndpoints:
             urllib.request.urlopen(f"{base}/jobs/nonexistent/trace", timeout=30.0)
         assert exc_info.value.code == 404
 
+    @pytest.mark.parametrize("server_url", ["thread", "process"], indirect=True)
     def test_metrics_endpoint_serves_prometheus_text(self, server_url):
         base, service = server_url
         service.submit(rlc_ladder(5).system, method="gare").result(timeout=60.0)
@@ -253,17 +274,34 @@ class TestHTTPEndpoints:
         assert status == 200
         assert content_type.startswith("text/plain")
         assert "version=0.0.4" in content_type
-        for family in (
-            "repro_stage_seconds",
-            "repro_jobs_submitted",
-            "repro_jobs_completed",
-            "repro_queue_depth",
-            "repro_queue_wait_max_seconds",
-            "repro_journal_lag",
-            "repro_uptime_seconds",
+        # Every family of the docs/observability.md table, with its type.
+        for family, kind in (
+            ("repro_stage_seconds", "histogram"),
+            ("repro_queue_depth", "gauge"),
+            ("repro_jobs_running", "gauge"),
+            ("repro_queue_wait_max_seconds", "gauge"),
+            ("repro_journal_lag", "gauge"),
+            ("repro_uptime_seconds", "gauge"),
+            *((f"repro_jobs_{name}", "gauge") for name in JOB_GAUGES),
+            ("repro_scenarios", "gauge"),
+            ("repro_streamed_events", "gauge"),
+            ("repro_dropped_events", "gauge"),
+            ("repro_pool_restarts", "gauge"),
+            *((f"repro_cache_{name}", "gauge") for name in CACHE_GAUGES),
         ):
-            assert f"# TYPE {family} " in text, f"missing family {family}"
+            assert f"# TYPE {family} {kind}\n" in text, f"missing {kind} {family}"
         assert 'repro_stage_seconds_bucket{stage="engine.dispatch",le="+Inf"}' in text
+        # The gauges serve the numbers GET /stats serves.
+        values = dict(
+            line.split(" ", 1) for line in text.splitlines() if line.startswith("repro_")
+        )
+        _, stats, _ = _get(f"{base}/stats")
+        assert stats["completed"] == 1
+        assert stats["cache"]["factorizations"] > 0
+        for name in JOB_GAUGES:
+            assert float(values[f"repro_jobs_{name}"]) == stats[name], name
+        for name in CACHE_GAUGES:
+            assert float(values[f"repro_cache_{name}"]) == stats["cache"][name], name
 
     def test_metrics_can_be_disabled(self):
         service = PassivityService(max_workers=1)

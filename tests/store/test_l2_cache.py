@@ -70,7 +70,7 @@ class TestL2Telemetry:
         left.record_l2("a", hit=False)
         right = CacheStats()
         right.record_l2("a", hit=True)
-        right.l2_evictions += 3
+        right.add("l2_evictions", n=3)
         left.merge(right)
         assert left.l2_hits == 2
         assert left.l2_misses == 1
