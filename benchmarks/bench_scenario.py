@@ -13,23 +13,19 @@ measures the *client's time-to-all-verdicts*:
   interval until all verdicts are known (no server-side expansion, no
   ancestor chaining, poll-quantized latency).
 
-The two are timed in ``--rounds`` alternating pairs (default 5), because
-one sub-second pair is too noisy to gate on.  Gates (``--check``): the
-median polled time over the median streamed time is >= 3x, and on
-**every** round zero verdicts differ from a direct cold
-``check_passivity`` of every corner, and (streamed rounds) the incremental
-tier engaged (``incremental_hits > 0``).
+Gates (``--check``): streamed >= 3x faster to the last verdict, zero
+verdict flips between the two passes (and vs a direct cold
+``check_passivity`` of every corner), and the incremental tier actually
+engaged (``incremental_hits > 0``).
 
-Everything, each round's timings included, is written to a
-machine-readable ``BENCH_scenario.json`` (benchmark-trajectory artifact,
-same conventions as ``BENCH_sweep.json``).
+Everything is written to a machine-readable ``BENCH_scenario.json``
+(benchmark-trajectory artifact, same conventions as ``BENCH_sweep.json``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scenario.py            # full (32 corners, order 204)
     PYTHONPATH=src python benchmarks/bench_scenario.py --smoke    # CI-sized
     PYTHONPATH=src python benchmarks/bench_scenario.py --check    # assert the gates
-    PYTHONPATH=src python benchmarks/bench_scenario.py --rounds 9 # more round pairs
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import time
 from typing import Dict, List
 
@@ -55,8 +50,6 @@ SCHEMA_VERSION = 1
 MIN_SPEEDUP = 3.0
 #: The status-quo client's poll cadence (the latency the push path removes).
 POLL_INTERVAL = 0.05
-#: Alternating streamed/polled round pairs the medians are taken over.
-ROUNDS = 5
 
 
 def _family(mode: str) -> List:
@@ -146,72 +139,60 @@ def _polled_round(family: List) -> Dict:
         }
 
 
-def _flips(round_: Dict, truth: List[bool]) -> int:
-    """Corners whose verdict is missing or differs from the cold truth."""
-    return sum(
-        round_["verdicts"].get(index) != verdict for index, verdict in enumerate(truth)
-    )
-
-
-def run_benchmark(mode: str, rounds: int = ROUNDS) -> Dict:
-    """Run alternating round pairs, cross-check verdicts, assemble the JSON."""
+def run_benchmark(mode: str) -> Dict:
+    """Run both rounds, cross-check verdicts, assemble the JSON document."""
     family = _family(mode)
     # Ground truth: a direct cold check of every corner (shared nothing).
+    truth = [check_passivity(system, method="gare") for system in family]
+
+    streamed = _streamed_round(family)
+    print(
+        f"[streamed] {streamed['corners']} corners of order {streamed['order']}: "
+        f"{streamed['seconds']:.2f}s to the summary "
+        f"(first verdict {streamed['seconds_to_first_verdict'] * 1e3:.0f} ms), "
+        f"{streamed['events']} events, "
+        f"hits {streamed['incremental_hits']}, "
+        f"fallbacks {streamed['incremental_fallbacks']}"
+    )
+    polled = _polled_round(family)
+    print(
+        f"[polled] {polled['corners']} corners: {polled['seconds']:.2f}s "
+        f"to all verdicts ({polled['polls']} status polls at "
+        f"{POLL_INTERVAL * 1e3:.0f} ms)"
+    )
+
     # Corner i of the scenario is family[i] of the polled/truth passes
     # (the expansion regenerates the same seeded corners, nominal first).
-    truth = [check_passivity(system, method="gare").is_passive for system in family]
+    flips = 0
+    for index in range(len(family)):
+        streamed_verdict = streamed["verdicts"].get(index)
+        polled_verdict = polled["verdicts"].get(index)
+        truth_verdict = truth[index].is_passive
+        if streamed_verdict is None or polled_verdict is None:
+            flips += 1
+        elif not streamed_verdict == polled_verdict == truth_verdict:
+            flips += 1
 
-    streamed_rounds: List[Dict] = []
-    polled_rounds: List[Dict] = []
-    for number in range(rounds):
-        streamed = _streamed_round(family)
-        streamed["verdict_flips"] = _flips(streamed, truth)
-        print(
-            f"[streamed {number}] {streamed['corners']} corners of order "
-            f"{streamed['order']}: {streamed['seconds']:.2f}s to the summary "
-            f"(first verdict {streamed['seconds_to_first_verdict'] * 1e3:.0f} ms), "
-            f"{streamed['events']} events, "
-            f"hits {streamed['incremental_hits']}, "
-            f"fallbacks {streamed['incremental_fallbacks']}, "
-            f"flips {streamed['verdict_flips']}"
-        )
-        polled = _polled_round(family)
-        polled["verdict_flips"] = _flips(polled, truth)
-        print(
-            f"[polled {number}] {polled['corners']} corners: "
-            f"{polled['seconds']:.2f}s to all verdicts ({polled['polls']} status "
-            f"polls at {POLL_INTERVAL * 1e3:.0f} ms), "
-            f"flips {polled['verdict_flips']}"
-        )
-        streamed_rounds.append(dict(streamed, verdicts=None))
-        polled_rounds.append(dict(polled, verdicts=None))
-
-    streamed_median = statistics.median(r["seconds"] for r in streamed_rounds)
-    polled_median = statistics.median(r["seconds"] for r in polled_rounds)
-    speedup = polled_median / streamed_median if streamed_median > 0 else None
-    flips = sum(r["verdict_flips"] for r in streamed_rounds + polled_rounds)
+    speedup = (
+        polled["seconds"] / streamed["seconds"]
+        if streamed["seconds"] > 0
+        else None
+    )
     print(
-        f"[scenario] median streamed {streamed_median:.2f}s vs polled "
-        f"{polled_median:.2f}s over {rounds} rounds: speedup {speedup:.2f}x, "
+        f"[scenario] streamed vs polled speedup {speedup:.2f}x, "
         f"verdict flips {flips}"
     )
+    streamed = dict(streamed, verdicts=None)
+    polled = dict(polled, verdicts=None)
     return {
         "benchmark": "streaming_scenario",
         "schema_version": SCHEMA_VERSION,
         "mode": mode,
-        "rounds": rounds,
-        "streamed_median_s": streamed_median,
-        "polled_median_s": polled_median,
         "speedup": speedup,
-        "speedup_target": (
-            f">= {MIN_SPEEDUP}x median time-to-all-verdicts vs poll loop"
-        ),
+        "speedup_target": f">= {MIN_SPEEDUP}x time-to-all-verdicts vs poll loop",
         "speedup_target_met": bool(speedup is not None and speedup >= MIN_SPEEDUP),
         "verdicts_agree": flips == 0,
         "verdict_flips": flips,
-        "incremental_engaged": all(
-            r["incremental_hits"] > 0 for r in streamed_rounds
-        ),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -219,8 +200,8 @@ def run_benchmark(mode: str, rounds: int = ROUNDS) -> Dict:
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
         },
-        "streamed_rounds": streamed_rounds,
-        "polled_rounds": polled_rounds,
+        "streamed_round": streamed,
+        "polled_round": polled,
     }
 
 
@@ -238,22 +219,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless the median streamed round is >= 3x "
-        "faster, with zero verdict flips and incremental_hits > 0 on every "
-        "round",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=ROUNDS,
-        help=f"alternating streamed/polled round pairs (default {ROUNDS})",
+        help="exit non-zero unless streamed is >= 3x faster with zero "
+        "verdict flips and incremental_hits > 0",
     )
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
 
     mode = "smoke" if args.smoke else "default"
-    document = run_benchmark(mode, args.rounds)
+    document = run_benchmark(mode)
     with open(args.output, "w", encoding="utf-8") as stream:
         json.dump(document, stream, indent=2)
     print(f"wrote {args.output}")
@@ -266,12 +238,9 @@ def main(argv=None) -> int:
                 f"target {document['speedup_target']})"
             )
         if not document["verdicts_agree"]:
-            failures.append(
-                f"{document['verdict_flips']} streamed/polled verdicts differ "
-                f"from the cold check"
-            )
-        if not document["incremental_engaged"]:
-            failures.append("incremental tier did not engage on every streamed round")
+            failures.append("streamed/polled/cold verdicts disagree")
+        if document["streamed_round"]["incremental_hits"] == 0:
+            failures.append("incremental tier never engaged")
         if failures:
             print("CHECK FAILED: " + "; ".join(failures))
             return 1

@@ -326,10 +326,10 @@ def _dispatch(
         # method itself share one structural analysis instead of recomputing
         # the O(n^3) decompositions within a single call.
         cache = DecompositionCache(maxsize=8)
-    factorizations_baseline = cache.stats_since()
+    factorizations_baseline = cache.stats.factorizations
 
     def factorizations_delta() -> int:
-        return cache.stats_since(factorizations_baseline).factorizations
+        return cache.stats.factorizations - factorizations_baseline
 
     auto = method == "auto"
 

@@ -55,7 +55,6 @@ from repro.passivity.result import PassivityReport
 from repro.passivity.sparse_shh import SPARSE_DEFLATION, fetch_sparse_deflation
 
 __all__ = [
-    "COUNTERS",
     "CacheStats",
     "DecompositionCache",
     "SystemProfile",
@@ -222,7 +221,7 @@ def canonical_options(options: Dict[str, Any]) -> Optional[str]:
 
 
 #: The counters a :class:`CacheStats` sums; each is also a read-only attribute.
-COUNTERS = (
+_COUNTERS = (
     "hits", "misses", "evictions", "factorizations", "l2_hits", "l2_misses",
     "l2_evictions", "incremental_hits", "incremental_fallbacks",
 )
@@ -258,12 +257,14 @@ class CacheStats:
     Every count lives in one mapping, :attr:`counts`, keyed by
     ``(kind, counter)``; counters no kind owns (``evictions``,
     ``l2_evictions`` and the incremental pair) sit under kind ``None``.  The
-    aggregates of :data:`COUNTERS` and :attr:`by_kind` are derived from it,
+    aggregates of these counters and :attr:`by_kind` are derived from it,
     so :meth:`merge` adds, :meth:`minus` subtracts and :meth:`snapshot`
     copies in one loop each.  ``update_residual_max`` is a running maximum,
     not a sum: merging keeps the larger, a delta keeps the current value.
-    Not thread-safe on its own; read a live cache's counters with
-    :meth:`DecompositionCache.stats_since`, which holds the cache's lock.
+    Reads iterate over a copy of the mapping, so reading a live cache's
+    counters never fails; for a consistent copy of several counters at
+    once, use :meth:`DecompositionCache.stats_since`, which holds the
+    cache's lock.
     """
 
     def __init__(self) -> None:
@@ -295,7 +296,7 @@ class CacheStats:
 
     def total(self, counter: str) -> int:
         """``counter`` summed over every kind (the aggregate attributes)."""
-        return sum(n for (_, name), n in self.counts.items() if name == counter)
+        return sum(n for (_, name), n in list(self.counts.items()) if name == counter)
 
     def hits_for(self, kind: str) -> int:
         """Number of cache hits recorded for ``kind``."""
@@ -313,14 +314,14 @@ class CacheStats:
     def by_kind(self) -> Dict[str, Dict[str, int]]:
         """``{kind: {counter: n}}``: ``hits`` and ``misses`` always, others once counted."""
         view: Dict[str, Dict[str, int]] = {}
-        for (kind, counter), n in self.counts.items():
+        for (kind, counter), n in list(self.counts.items()):
             if kind is not None:
                 view.setdefault(kind, {"hits": 0, "misses": 0})[counter] = n
         return view
 
     def merge(self, other: "CacheStats") -> None:
         """Fold another counter set into this one (batch-worker aggregation)."""
-        for (kind, counter), n in other.counts.items():
+        for (kind, counter), n in list(other.counts.items()):
             self.add(counter, kind, n)
         self.update_residual_max = max(self.update_residual_max, other.update_residual_max)
 
@@ -328,7 +329,7 @@ class CacheStats:
         """Counter deltas since ``baseline`` (per-sweep telemetry)."""
         delta = CacheStats()
         delta.update_residual_max = self.update_residual_max
-        for key, n in self.counts.items():
+        for key, n in list(self.counts.items()):
             if n != baseline.counts.get(key, 0):
                 delta.counts[key] = n - baseline.counts.get(key, 0)
         return delta
@@ -344,7 +345,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-for _counter in COUNTERS:
+for _counter in _COUNTERS:
     setattr(
         CacheStats,
         _counter,

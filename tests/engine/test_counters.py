@@ -4,7 +4,9 @@ In thread mode every cell records into one shared cache while ``run_cells``
 and ``PassivityService.stats`` read its counters.  A reader that iterated
 them unlocked raised "dictionary changed size during iteration" whenever a
 writer counted a kind for the first time; fast GIL switching and a writer
-that counts a new kind on every lookup make that window easy to hit.
+that counts a new kind on every lookup make that window easy to hit.  The
+public ``cache.stats`` attributes, read with no lock, copy the mapping
+before they iterate it, so they never fail either.
 
 Counters are not spans: with the observability plane switched off, every
 backend and executor still counts the same factorizations.
@@ -69,6 +71,14 @@ def test_service_stats_read_the_runner_cache_under_its_lock(fast_switching):
     with PassivityService(runner, max_workers=1, executor="thread") as service:
         service.start()
         _read_while_recording(runner.cache, service.stats)
+
+
+def test_public_counter_reads_of_a_live_cache_never_fail(fast_switching):
+    cache = DecompositionCache(maxsize=None)
+    _read_while_recording(
+        cache,
+        lambda: (cache.stats.factorizations, cache.stats.by_kind, cache.stats.snapshot()),
+    )
 
 
 @pytest.fixture()
